@@ -42,16 +42,18 @@ class EpochDomain {
   /// thread stores `seen` every burst; the writer only reads it.
   struct alignas(64) WorkerSlot {
     std::atomic<uint64_t> seen{0};
-    bool active = false;  // control-thread-only bookkeeping
+    // Written by the control thread only, but read by min_observed(), which
+    // workers reach through their own reclamation (conntrack poll).
+    std::atomic<bool> active{false};
   };
 
   /// Registers a worker (control thread only).  The slot starts quiescent at
   /// the current epoch.  Returns nullptr when kMaxWorkers are registered.
   WorkerSlot* register_worker() {
     for (WorkerSlot& s : slots_) {
-      if (s.active) continue;
+      if (s.active.load(std::memory_order_relaxed)) continue;
       s.seen.store(epoch_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      s.active = true;
+      s.active.store(true, std::memory_order_release);
       n_active_.fetch_add(1, std::memory_order_release);
       return &s;
     }
@@ -61,8 +63,8 @@ class EpochDomain {
   /// Unregisters (control thread only; the worker's thread must have stopped
   /// — joined or provably past its last tick).
   void unregister_worker(WorkerSlot* s) {
-    ESW_CHECK(s != nullptr && s->active);
-    s->active = false;
+    ESW_CHECK(s != nullptr && s->active.load(std::memory_order_relaxed));
+    s->active.store(false, std::memory_order_release);
     n_active_.fetch_sub(1, std::memory_order_release);
   }
 
@@ -94,7 +96,7 @@ class EpochDomain {
   uint64_t min_observed() const {
     uint64_t min = UINT64_MAX;
     for (const WorkerSlot& s : slots_) {
-      if (!s.active) continue;
+      if (!s.active.load(std::memory_order_acquire)) continue;
       const uint64_t seen = s.seen.load(std::memory_order_acquire);
       if (seen < min) min = seen;
     }

@@ -359,16 +359,19 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
 
   // Stage 1: parse the whole burst, the next frame's header line in flight
   // while the current one parses.  The conntrack pre-stage runs here too —
-  // ct_state must be stamped before any lookup can match it.
+  // ct_state must be stamped before any lookup can match it — with its
+  // lookup counts tallied locally and flushed once per chunk.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
   proto::ParseInfo pis[net::kBurstSize];
+  state::Conntrack::LookupTally ct_tally;
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) esw_prefetch(pkts[i + 1]->data());
     proto::parse(pkts[i]->data(), pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
     if (ESW_UNLIKELY(ct != nullptr))
-      ct_hits[i] = ct->pre(pkts[i]->data(), pis[i], ct_now);
+      ct_hits[i] = ct->pre(pkts[i]->data(), pis[i], ct_now, ct_tally);
   }
+  if (ESW_UNLIKELY(ct != nullptr)) ct->count_lookups(ct_tally);
 
   // Fused fast path: the whole goto graph as one plan (machine code where
   // members are direct-code, pinned impls elsewhere).  Falls back to the

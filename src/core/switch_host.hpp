@@ -1,11 +1,11 @@
 // The switch runtime: a port panel plus a Dataplane backend, run the way a
 // production switch runs — packets flow rx_burst → process_burst → tx_burst
-// and verdicts are *executed*, not returned to the caller:
+// and verdicts are *executed*, not returned to the caller.  Execution is per
+// burst (core/tx_stage.hpp), one TX enqueue per egress port:
 //
-//   * kOutput  — enqueued on the egress port (tail-dropped if the port's ring
-//     or rate cap rejects it);
-//   * kFlood   — fanned out to every port except ingress, one pool-allocated
-//     copy per egress port;
+//   * kOutput  — staged on the egress port; the burst's stage for each port
+//     is sent in one tx_burst, whose ring or rate cap may tail-drop it;
+//   * kFlood   — one pool-allocated copy staged on every port except ingress;
 //   * kController — the frame is buffered as a PacketInEvent (or handed to a
 //     sink, e.g. an OfAgent session that turns it into a PACKET_IN);
 //   * kDrop    — counted, buffer recycled.
@@ -21,20 +21,12 @@
 #include <vector>
 
 #include "core/dataplane.hpp"
+#include "core/tx_stage.hpp"
 #include "netio/mbuf_pool.hpp"
 #include "netio/portset.hpp"
 #include "proto/parse.hpp"
 
 namespace esw::core {
-
-/// A controller-bound frame (the runtime-level precursor of a PACKET_IN).
-/// The datapath does not distinguish an explicit controller action from a
-/// kController table-miss policy, so no reason travels here; the agent layer
-/// defaults to "no match", the reactive case.
-struct PacketInEvent {
-  std::vector<uint8_t> frame;
-  uint32_t in_port = 0;
-};
 
 template <Dataplane Backend>
 class SwitchHost {
@@ -109,7 +101,7 @@ class SwitchHost {
       uint32_t n;
       while ((n = p.rx_burst(burst, net::kBurstSize)) > 0) {
         backend_.process_burst(burst, n, verdicts);
-        for (uint32_t i = 0; i < n; ++i) execute(burst[i], verdicts[i], now_ns);
+        execute(burst, verdicts, n, now_ns);
         processed += n;
       }
     });
@@ -133,7 +125,8 @@ class SwitchHost {
     pi.in_port = in_port;
     flow::ActionSetBuilder as;
     as.merge(actions);
-    execute(pkt, as.execute(*pkt, pi), now_ns);
+    const flow::Verdict v = as.execute(*pkt, pi);
+    execute(&pkt, &v, 1, now_ns);
     return true;
   }
 
@@ -158,71 +151,48 @@ class SwitchHost {
     return total;
   }
 
-  /// Routes kController frames to `sink` as they happen instead of buffering
-  /// (pass nullptr to go back to buffering).
+  /// Routes kController frames to `sink` instead of buffering them, in
+  /// verdict order once their burst has executed (pass nullptr to go back to
+  /// buffering).
   void set_packet_in_sink(PacketInSink sink) { sink_ = std::move(sink); }
 
   /// Takes the buffered controller-bound frames.
   std::vector<PacketInEvent> drain_packet_ins() { return std::exchange(pending_, {}); }
 
  private:
-  void execute(net::Packet* pkt, const flow::Verdict& v, uint64_t now_ns) {
-    switch (v.kind) {
-      case flow::Verdict::Kind::kOutput:
-        tx_one(v.port, pkt, now_ns);
-        break;
-      case flow::Verdict::Kind::kFlood: {
-        const uint32_t ingress = pkt->in_port();
-        ports_.for_each_except(ingress, [&](uint32_t no, net::Port&) {
-          net::Packet* copy = pool_.alloc();
-          if (copy == nullptr) {
-            ++counters_.pool_exhausted;
-            return;
-          }
-          copy->assign(pkt->data(), pkt->len());
-          copy->set_in_port(ingress);
-          if (tx_one(no, copy, now_ns)) ++counters_.flood_copies;
+  /// Executes a burst's verdicts (one tx_burst per egress port at `now_ns`,
+  /// so the rate cap sees the burst), then hands the controller-bound frames
+  /// on — after the TX flush, so a sink may re-enter packet_out().
+  void execute(net::Packet* const* pkts, const flow::Verdict* verdicts, uint32_t n,
+               uint64_t now_ns) {
+    const ExecTally t = tx_.execute(
+        ports_, pool_, pkts, verdicts, n, pins_,
+        [now_ns](net::Port& p, net::Packet* const* b, uint32_t k) {
+          return p.tx_burst(b, k, now_ns);
         });
-        pool_.free(pkt);
-        break;
-      }
-      case flow::Verdict::Kind::kController: {
-        ++counters_.packet_ins;
-        PacketInEvent ev{{pkt->data(), pkt->data() + pkt->len()}, pkt->in_port()};
-        pool_.free(pkt);
-        if (sink_)
-          sink_(ev);
-        else
-          pending_.push_back(std::move(ev));
-        break;
-      }
-      case flow::Verdict::Kind::kDrop:
-        ++counters_.drops;
-        pool_.free(pkt);
-        break;
+    counters_.tx_packets += t.tx_packets;
+    counters_.flood_copies += t.flood_copies;
+    counters_.drops += t.drops;
+    counters_.packet_ins += t.packet_ins;
+    counters_.tx_rejected += t.tx_rejected;
+    counters_.bad_port += t.bad_port;
+    counters_.pool_exhausted += t.pool_exhausted;
+    if (pins_.empty()) return;
+    std::vector<PacketInEvent> pins = std::exchange(pins_, {});
+    for (PacketInEvent& ev : pins) {
+      if (sink_)
+        sink_(ev);
+      else
+        pending_.push_back(std::move(ev));
     }
-  }
-
-  /// Hands `pkt` to a TX ring (ownership moves) or recycles it on rejection.
-  bool tx_one(uint32_t port_no, net::Packet* pkt, uint64_t now_ns) {
-    if (!ports_.valid(port_no)) {
-      ++counters_.bad_port;
-      pool_.free(pkt);
-      return false;
-    }
-    if (ports_.port(port_no).tx_burst(&pkt, 1, now_ns) == 1) {
-      ++counters_.tx_packets;
-      return true;
-    }
-    ++counters_.tx_rejected;
-    pool_.free(pkt);
-    return false;
   }
 
   Backend backend_;
   net::PortSet ports_;
   net::MbufPool pool_;
   Counters counters_;
+  TxStage tx_;
+  std::vector<PacketInEvent> pins_;  // this burst's controller-bound frames
   PacketInSink sink_;
   std::vector<PacketInEvent> pending_;
 };

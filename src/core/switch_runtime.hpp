@@ -12,19 +12,24 @@
 // and of table-memory reclamation, which rides the backend's epoch domain —
 // workers tick once per burst inside process_burst.
 //
+// Verdicts execute per burst (core/tx_stage.hpp): outputs and flood copies
+// are staged per egress port and sent with one multi-producer enqueue per
+// touched port, and the worker's counters are bumped once per burst.
+//
 // Shared-state discipline, piece by piece:
 //   * RX rings — single-producer/single-consumer: each port belongs to
 //     exactly one worker (round-robin sharding), and that worker is also the
 //     only injector when a traffic source is configured;
 //   * TX rings — any worker may output to any port: multi-producer enqueue
-//     (Ring::enqueue_burst_mp); the owning worker drains its ports' TX back
-//     into the pool when `sink_tx` is on (the wire carrying frames away);
+//     (Ring::enqueue_burst_mp), one per port per burst; the owning worker
+//     drains its ports' TX back into its cache when `sink_tx` is on (the
+//     wire carrying frames away);
 //   * buffers — one shared MbufPool, accessed only through per-worker
 //     MbufCaches (bulk refill/spill, lock-free per packet);
 //   * counters — per-worker cacheline-padded blocks of single-writer relaxed
 //     atomics, aggregated only in counters() readers;
 //   * packet-ins — bounded, mutex-protected handoff to the control thread
-//     (the slow path by definition).
+//     (the slow path by definition), one lock per burst.
 #pragma once
 
 #include <chrono>
@@ -38,18 +43,12 @@
 #include "common/failpoint.hpp"
 #include "common/tsc.hpp"
 #include "core/dataplane.hpp"
+#include "core/tx_stage.hpp"
 #include "netio/mbuf_pool.hpp"
 #include "netio/portset.hpp"
 #include "perf/latency.hpp"
 
 namespace esw::core {
-
-/// A controller-bound frame captured by a worker (mirrors
-/// SwitchHost::PacketInEvent without requiring that header).
-struct RuntimePacketIn {
-  std::vector<uint8_t> frame;
-  uint32_t in_port = 0;
-};
 
 /// A backend the multi-worker runtime can drive: the unified Dataplane
 /// surface plus per-worker execution contexts wired to epoch reclamation
@@ -259,7 +258,7 @@ class SwitchRuntime {
   }
 
   /// Takes the buffered controller-bound frames (control thread).
-  std::vector<RuntimePacketIn> drain_packet_ins() {
+  std::vector<PacketInEvent> drain_packet_ins() {
     std::lock_guard<std::mutex> lock(pin_mu_);
     return std::exchange(pending_pins_, {});
   }
@@ -314,6 +313,8 @@ class SwitchRuntime {
     typename Backend::Worker* ctx = nullptr;
     std::vector<uint32_t> owned_ports;
     net::MbufCache cache;
+    TxStage tx;
+    std::vector<PacketInEvent> pins;  // this burst's controller-bound frames
     StatBlock stats;
     // Raised while the worker provably holds no datapath pointers (bounded
     // backpressure sleep, or the worker_stall failpoint).  The watchdog may
@@ -367,14 +368,13 @@ class SwitchRuntime {
           // record the amortized per-packet cycles, weighted by the burst.
           const uint64_t t0 = rdtsc_serialized();
           backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          for (uint32_t i = 0; i < n; ++i) execute(ws, burst[i], verdicts[i]);
+          execute(ws, burst, verdicts, n);
           const uint64_t dt = rdtsc_serialized() - t0;
           ws.latency.record_n(dt / n, n);
         } else {
           backend_.process_burst(*ws.ctx, burst, n, verdicts);
-          for (uint32_t i = 0; i < n; ++i) execute(ws, burst[i], verdicts[i]);
+          execute(ws, burst, verdicts, n);
         }
-        bump(ws.stats.processed, n);
         did += n;
       }
       if (cfg_.sink_tx) {
@@ -382,7 +382,7 @@ class SwitchRuntime {
           net::Packet* out[net::kBurstSize];
           uint32_t n;
           while ((n = ports_.port(no).drain_tx(out, net::kBurstSize)) > 0)
-            for (uint32_t i = 0; i < n; ++i) ws.cache.free(out[i]);
+            ws.cache.free_bulk(out, n);
         }
       }
       if (did == 0) std::this_thread::yield();
@@ -427,59 +427,32 @@ class SwitchRuntime {
     ws.parked.store(false, std::memory_order_release);
   }
 
-  void execute(WorkerState& ws, net::Packet* pkt, const flow::Verdict& v) {
-    switch (v.kind) {
-      case flow::Verdict::Kind::kOutput:
-        tx_one(ws, v.port, pkt);
-        break;
-      case flow::Verdict::Kind::kFlood: {
-        const uint32_t ingress = pkt->in_port();
-        for (uint32_t no = net::PortSet::kFirstPort;
-             no < net::PortSet::kFirstPort + ports_.size(); ++no) {
-          if (no == ingress) continue;
-          net::Packet* copy = ws.cache.alloc();
-          if (copy == nullptr) {
-            bump(ws.stats.pool_exhausted, 1);
-            continue;
-          }
-          copy->assign(pkt->data(), pkt->len());
-          copy->set_in_port(ingress);
-          if (tx_one(ws, no, copy)) bump(ws.stats.flood_copies, 1);
+  /// Executes one burst's verdicts (one tx_burst_mp per touched port), hands
+  /// its controller-bound frames over under one lock (the bound still counts
+  /// every packet-in, buffered or not), and bumps the worker's counters once.
+  void execute(WorkerState& ws, net::Packet* const* pkts, const flow::Verdict* verdicts,
+               uint32_t n) {
+    const ExecTally t = ws.tx.execute(
+        ports_, ws.cache, pkts, verdicts, n, ws.pins,
+        [](net::Port& p, net::Packet* const* b, uint32_t k) { return p.tx_burst_mp(b, k); });
+    if (!ws.pins.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(pin_mu_);
+        for (PacketInEvent& ev : ws.pins) {
+          if (pending_pins_.size() >= cfg_.max_pending_packet_ins) break;
+          pending_pins_.push_back(std::move(ev));
         }
-        ws.cache.free(pkt);
-        break;
       }
-      case flow::Verdict::Kind::kController: {
-        bump(ws.stats.packet_ins, 1);
-        {
-          std::lock_guard<std::mutex> lock(pin_mu_);
-          if (pending_pins_.size() < cfg_.max_pending_packet_ins)
-            pending_pins_.push_back(
-                {{pkt->data(), pkt->data() + pkt->len()}, pkt->in_port()});
-        }
-        ws.cache.free(pkt);
-        break;
-      }
-      case flow::Verdict::Kind::kDrop:
-        bump(ws.stats.drops, 1);
-        ws.cache.free(pkt);
-        break;
+      ws.pins.clear();
     }
-  }
-
-  bool tx_one(WorkerState& ws, uint32_t port_no, net::Packet* pkt) {
-    if (!ports_.valid(port_no)) {
-      bump(ws.stats.bad_port, 1);
-      ws.cache.free(pkt);
-      return false;
-    }
-    if (ports_.port(port_no).tx_burst_mp(&pkt, 1) == 1) {
-      bump(ws.stats.tx_packets, 1);
-      return true;
-    }
-    bump(ws.stats.tx_rejected, 1);
-    ws.cache.free(pkt);
-    return false;
+    bump(ws.stats.tx_packets, t.tx_packets);
+    bump(ws.stats.tx_rejected, t.tx_rejected);
+    bump(ws.stats.flood_copies, t.flood_copies);
+    bump(ws.stats.drops, t.drops);
+    bump(ws.stats.packet_ins, t.packet_ins);
+    bump(ws.stats.bad_port, t.bad_port);
+    bump(ws.stats.pool_exhausted, t.pool_exhausted);
+    bump(ws.stats.processed, n);
   }
 
   Config cfg_;
@@ -494,7 +467,7 @@ class SwitchRuntime {
   std::vector<perf::LatencyHistogram> final_worker_latency_;
   std::atomic<bool> stop_{false};
   std::mutex pin_mu_;
-  std::vector<RuntimePacketIn> pending_pins_;
+  std::vector<PacketInEvent> pending_pins_;
   std::vector<uint64_t> last_polls_;  // watchdog baseline (control thread only)
   uint64_t watchdog_stalled_ = 0;
   uint64_t watchdog_recovered_ = 0;

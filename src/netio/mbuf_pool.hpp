@@ -89,6 +89,17 @@ class MbufCache {
     }
   }
 
+  /// Returns a burst of buffers (a drained TX ring, a rejected TX tail) with
+  /// one append and at most one spill of the excess to the pool.
+  void free_bulk(Packet* const* pkts, uint32_t n) {
+    local_.insert(local_.end(), pkts, pkts + n);
+    if (local_.size() > cap_) {
+      const uint32_t excess = static_cast<uint32_t>(local_.size()) - cap_;
+      pool_->free_bulk(local_.data() + cap_, excess);
+      local_.resize(cap_);
+    }
+  }
+
   /// Returns every cached buffer to the shared pool.
   void flush() {
     if (!local_.empty()) {

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/check.hpp"
+#include "common/counters.hpp"
 #include "common/failpoint.hpp"
 #include "flow/fields.hpp"
 
@@ -187,14 +188,14 @@ void Conntrack::touch_tcp(Entry& e, uint8_t dir, uint8_t flags) {
 }
 
 Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi,
-                              uint64_t now) {
+                              uint64_t now, LookupTally& tally) {
   Hit hit;
   hit.tuple_valid = extract_tuple(pkt, pi, &hit.tuple);
   if (!hit.tuple_valid) {
     pi.ct_state = 0;
     return hit;
   }
-  c_.lookups.fetch_add(1, std::memory_order_relaxed);
+  ++tally.lookups;
 
   const uint64_t h = hash_tuple(hit.tuple);
   for (HashLink* l = buckets_[bucket_of(h)].load(std::memory_order_acquire);
@@ -209,14 +210,14 @@ Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi,
   }
 
   if (hit.entry != nullptr) {
-    c_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++tally.hits;
     touch_tcp(*hit.entry, hit.dir, tcp_flags_of(pkt, pi));
     hit.entry->last_seen_ms.store(now, std::memory_order_relaxed);
     pi.ct_state = state_bits(*hit.entry, hit.dir);
     return hit;
   }
 
-  c_.misses.fetch_add(1, std::memory_order_relaxed);
+  ++tally.misses;
   const uint8_t flags = tcp_flags_of(pkt, pi);
   const bool tcp = hit.tuple.proto == proto::kIpProtoTcp;
   const bool openable = !tcp || (flags & proto::kTcpFlagSyn) != 0 ||
@@ -228,6 +229,12 @@ Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi,
   pi.ct_state = kCtTracked | kCtNew;
   if (cfg_.auto_commit) hit.entry = commit(hit.tuple, flags, 0, now);
   return hit;
+}
+
+void Conntrack::count_lookups(const LookupTally& tally) {
+  common::counter_add(c_.lookups, tally.lookups);
+  common::counter_add(c_.hits, tally.hits);
+  common::counter_add(c_.misses, tally.misses);
 }
 
 void Conntrack::post(const Hit& hit, bool commit_requested, uint32_t profile,

@@ -121,9 +121,29 @@ class Conntrack {
   Conntrack(const Conntrack&) = delete;
   Conntrack& operator=(const Conntrack&) = delete;
 
+  /// Lookup outcome counts a caller accumulates over a burst chunk and
+  /// flushes once with count_lookups(): the shared counters are RMWs.
+  struct LookupTally {
+    uint64_t lookups = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
   /// Pre-stage: lookup, TCP state transition, ct_state stamp, last-seen
-  /// touch.  Lock-free; safe from any worker.  Mutates only pi.ct_state.
-  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
+  /// touch.  Lock-free; safe from any worker.  Mutates only pi.ct_state; the
+  /// lookup outcome is added to `tally`, not to stats().
+  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms, LookupTally& tally);
+
+  /// Single-packet pre-stage: counts its own lookup into stats().
+  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms) {
+    LookupTally tally;
+    const Hit hit = pre(pkt, pi, now_ms, tally);
+    count_lookups(tally);
+    return hit;
+  }
+
+  /// Adds a tally's counts to stats().
+  void count_lookups(const LookupTally& tally);
 
   /// Post-stage: commit if requested (or auto_commit) and the pre-stage
   /// missed, then apply the entry's NAT rewrite to the packet (checksums

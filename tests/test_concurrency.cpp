@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/eswitch.hpp"
 #include "core/switch_runtime.hpp"
@@ -517,6 +518,125 @@ TEST(Concurrency, SwitchRuntimeConservation) {
     while ((n = rt.ports().port(no).drain_tx(out, net::kBurstSize)) > 0)
       for (uint32_t i = 0; i < n; ++i) rt.pool().free(out[i]);
   }
+  EXPECT_EQ(rt.pool().available(), rt.pool().capacity());
+}
+
+// Staged TX through the multi-worker runtime: one worker, frames injected
+// before start() so they form one burst, TX left in the rings (no sink).
+class StagedTxRuntime : public ::testing::Test {
+ protected:
+  using Runtime = SwitchRuntime<Eswitch>;
+
+  void SetUp() override { fpr_.disarm_all(); }
+  void TearDown() override { fpr_.disarm_all(); }
+
+  static Runtime::Config config() {
+    Runtime::Config cfg;
+    cfg.n_workers = 1;
+    cfg.n_ports = 4;
+    cfg.port.ring_size = 16;
+    cfg.pool_capacity = 256;
+    cfg.sink_tx = false;
+    return cfg;
+  }
+
+  /// Injects `frames` on their in_port, runs the worker until all are
+  /// processed, and stops it.
+  static void run_burst(Runtime& rt, const std::vector<net::Packet>& frames) {
+    for (const net::Packet& f : frames)
+      ASSERT_TRUE(rt.inject(f.in_port(), f.data(), f.len()));
+    rt.start();
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (rt.counters().processed < frames.size() &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    rt.stop();
+    ASSERT_EQ(rt.counters().processed, frames.size());
+  }
+
+  /// Drains port `no`'s TX ring into the pool; returns the frame indices.
+  static std::vector<int> drain(Runtime& rt, uint32_t no,
+                                const std::vector<net::Packet>& frames) {
+    std::vector<int> got;
+    net::Packet* out[net::kBurstSize];
+    uint32_t n;
+    while ((n = rt.ports().port(no).drain_tx(out, net::kBurstSize)) > 0)
+      for (uint32_t i = 0; i < n; ++i) {
+        got.push_back(test::frame_index(*out[i], frames));
+        rt.pool().free(out[i]);
+      }
+    return got;
+  }
+
+  static void expect_conserved(const Runtime::Counters& c, uint64_t floods,
+                               uint64_t copies_per_flood) {
+    EXPECT_EQ(c.tx_packets + c.tx_rejected + c.drops + c.packet_ins + c.bad_port,
+              c.processed - floods + floods * copies_per_flood);
+  }
+
+  common::FailpointRegistry& fpr_ = common::FailpointRegistry::instance();
+};
+
+TEST_F(StagedTxRuntime, MixedBurstKeepsEachPortInVerdictOrder) {
+  Runtime rt(config());
+  rt.backend().install(test::mixed_verdict_pipeline());
+  const std::vector<net::Packet> frames = test::mixed_burst_frames();
+  run_burst(rt, frames);
+
+  for (uint32_t no = 1; no <= 4; ++no)
+    EXPECT_EQ(drain(rt, no, frames), test::mixed_burst_expected(no)) << "port " << no;
+  const Runtime::Counters c = rt.counters();
+  EXPECT_EQ(c.tx_packets, 11u);
+  EXPECT_EQ(c.flood_copies, 3u);
+  EXPECT_EQ(c.drops, 1u);
+  EXPECT_EQ(c.packet_ins, 1u);
+  EXPECT_EQ(c.bad_port, 1u);
+  EXPECT_EQ(c.tx_rejected, 0u);
+  expect_conserved(c, 1, 3);
+  const auto pins = rt.drain_packet_ins();
+  ASSERT_EQ(pins.size(), 1u);
+  EXPECT_EQ(pins[0].in_port, 1u);
+  EXPECT_EQ(rt.pool().available(), rt.pool().capacity());
+}
+
+TEST_F(StagedTxRuntime, TxRingFullMidBurstKeepsInOrderPrefix) {
+  Runtime rt(config());
+  rt.backend().install(test::mixed_verdict_pipeline());
+  // Ten fillers leave room for six of the burst's twelve outputs to port 2.
+  net::Packet* filler[10];
+  ASSERT_EQ(rt.pool().alloc_bulk(filler, 10), 10u);
+  ASSERT_EQ(rt.ports().port(2).tx_burst_mp(filler, 10), 10u);
+  std::vector<net::Packet> frames;
+  for (uint16_t i = 0; i < 12; ++i) frames.push_back(make_packet(test::udp_spec(1, 2, i, 2), 1));
+  run_burst(rt, frames);
+
+  const Runtime::Counters c = rt.counters();
+  EXPECT_EQ(c.tx_packets, 6u);
+  EXPECT_EQ(c.tx_rejected, 6u);
+  expect_conserved(c, 0, 0);
+  const std::vector<int> got = drain(rt, 2, frames);
+  EXPECT_EQ(got, (std::vector<int>{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(rt.pool().available(), rt.pool().capacity());
+}
+
+// One ring.enqueue_mp fire sheds a whole port stage: with the point armed
+// `always` nothing is sent, every output and flood copy is a rejection, and
+// every buffer still comes home.
+TEST_F(StagedTxRuntime, EnqueueFailpointRejectsEveryOutput) {
+  Runtime rt(config());
+  rt.backend().install(test::mixed_verdict_pipeline());
+  const std::vector<net::Packet> frames = test::mixed_burst_frames();
+  ASSERT_TRUE(fpr_.arm("ring.enqueue_mp", "always"));
+  run_burst(rt, frames);
+  fpr_.disarm_all();
+
+  const Runtime::Counters c = rt.counters();
+  EXPECT_EQ(c.tx_packets, 0u);
+  EXPECT_EQ(c.flood_copies, 0u);
+  EXPECT_EQ(c.tx_rejected, 11u);
+  EXPECT_EQ(c.drops + c.packet_ins + c.bad_port, 3u);
+  expect_conserved(c, 1, 3);
+  for (uint32_t no = 1; no <= 4; ++no) EXPECT_TRUE(drain(rt, no, frames).empty());
   EXPECT_EQ(rt.pool().available(), rt.pool().capacity());
 }
 

@@ -3,6 +3,7 @@
 // JIT-vs-interpreter parity over the stateful use cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -443,6 +444,60 @@ TEST(CtParity, NatJitVsInterpreter) {
 TEST(CtParity, LbJitVsInterpreter) {
   const uint64_t seed = testing::test_seed(0xC7F3, "CtParity.Lb");
   expect_parity(uc::make_ct_lb(4), 256, 2048, seed);
+}
+
+// --- lookup accounting ---------------------------------------------------------
+
+// The burst path tallies ct lookups per chunk and flushes once; the scalar
+// path flushes per packet.  Replaying one fixed trace (firewall flows plus
+// untracked ARP frames, in ragged bursts) through both must leave identical
+// lookups/hits/misses.
+TEST(CtStats, ChunkTalliedLookupsMatchPerPacketCounts) {
+  uc::CtUseCase c = uc::make_ct_firewall();
+  c.ct.manual_clock = true;
+  Eswitch scalar(cfg_for(c));
+  Eswitch burst(cfg_for(c));
+  scalar.install(c.pipeline);
+  burst.install(c.pipeline);
+
+  proto::PacketSpec arp;
+  arp.kind = proto::PacketKind::kArp;
+  const auto flows = c.traffic(64, 0xC7F4);
+  std::vector<net::Packet> trace;
+  uint64_t tracked = 0;
+  for (size_t i = 0; i < 600; ++i) {
+    if (i % 7 == 3) {
+      trace.push_back(make_packet(arp, uc::kCtInsidePort));
+      continue;
+    }
+    const net::FlowSpec& fs = flows[(i * 5) % flows.size()];
+    trace.push_back(make_packet(fs.pkt, fs.in_port));
+    ++tracked;
+  }
+
+  std::vector<net::Packet> copy = trace;
+  for (net::Packet& p : copy) scalar.process(p);
+  // Ragged bursts, one longer than kBurstSize (split into chunks inside).
+  std::vector<net::Packet*> ptrs;
+  for (net::Packet& p : trace) ptrs.push_back(&p);
+  std::vector<Verdict> out(ptrs.size());
+  constexpr size_t kLens[] = {1, 31, 77, 32, 5};
+  for (size_t done = 0, k = 0; done < ptrs.size(); done += kLens[k++ % 5]) {
+    const size_t len = std::min(kLens[k % 5], ptrs.size() - done);
+    burst.process_burst(ptrs.data() + done, static_cast<uint32_t>(len), out.data() + done);
+  }
+
+  const Conntrack::Stats a = scalar.conntrack()->stats();
+  const Conntrack::Stats b = burst.conntrack()->stats();
+  EXPECT_EQ(a.lookups, tracked);  // ARP frames carry no tuple: no lookup
+  // Pinned per-packet counts for this trace.
+  EXPECT_EQ(a.lookups, 514u);
+  EXPECT_EQ(a.hits, 402u);
+  EXPECT_EQ(a.misses, 112u);
+  EXPECT_EQ(b.lookups, a.lookups);
+  EXPECT_EQ(b.hits, a.hits);
+  EXPECT_EQ(b.misses, a.misses);
+  EXPECT_EQ(b.commits, a.commits);
 }
 
 // --- concurrent churn --------------------------------------------------------

@@ -52,6 +52,21 @@ TEST(MbufPool, ExhaustionAndReuse) {
   EXPECT_EQ(pool.alloc(), got[2]);
 }
 
+TEST(MbufCache, FreeBulkKeepsAtMostCapacityAndSpillsTheRest) {
+  MbufPool pool(256);
+  MbufCache cache(pool, MbufCache::kBulk);  // holds at most 32 buffers
+  Packet* burst[48];
+  ASSERT_EQ(pool.alloc_bulk(burst, 48), 48u);
+  cache.free_bulk(burst, 20);
+  EXPECT_EQ(pool.available(), 256u - 48u);  // under capacity: all cached
+  cache.free_bulk(burst + 20, 28);
+  EXPECT_EQ(pool.available(), 256u - 32u);  // 48 cached > 32: 16 spilled
+  // The cache hands its own buffers out first, last freed first.
+  EXPECT_EQ(cache.alloc(), burst[31]);
+  cache.flush();
+  EXPECT_EQ(pool.available(), 255u);
+}
+
 TEST(Port, Counters) {
   Port port;
   auto p = test::make_packet(test::udp_spec(1, 2, 3, 4));

@@ -244,6 +244,41 @@ TYPED_TEST(SwitchHostTest, BurstOfMixedVerdicts) {
   EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
+// Staged TX: one burst whose outputs interleave over three ports around a
+// flood, a drop, a punt and a bad port.  Each port sends its verdicts in
+// verdict order, and every processed packet is accounted exactly once.
+TYPED_TEST(SwitchHostTest, StagedTxKeepsEachPortInVerdictOrder) {
+  typename TestFixture::Host host(TestFixture::small_config());
+  host.backend().install(test::mixed_verdict_pipeline());
+  const std::vector<net::Packet> frames = test::mixed_burst_frames();
+  for (const net::Packet& f : frames) ASSERT_TRUE(host.inject(1, f.data(), f.len()));
+
+  EXPECT_EQ(host.poll(), test::kMixedBurstLen);
+  for (uint32_t no = 1; no <= 4; ++no) {
+    std::vector<int> got;
+    net::Packet* out[net::kBurstSize];
+    const uint32_t n = host.drain_tx(no, out, net::kBurstSize);
+    for (uint32_t i = 0; i < n; ++i) {
+      got.push_back(test::frame_index(*out[i], frames));
+      host.release(out[i]);
+    }
+    EXPECT_EQ(got, test::mixed_burst_expected(no)) << "port " << no;
+  }
+
+  const auto& c = host.counters();
+  EXPECT_EQ(c.tx_packets, 11u);
+  EXPECT_EQ(c.flood_copies, 3u);
+  EXPECT_EQ(c.drops, 1u);
+  EXPECT_EQ(c.packet_ins, 1u);
+  EXPECT_EQ(c.bad_port, 1u);
+  EXPECT_EQ(c.tx_rejected, 0u);
+  // Conservation: the one flood verdict became three copies.
+  EXPECT_EQ(c.tx_packets + c.tx_rejected + c.drops + c.packet_ins + c.bad_port,
+            uint64_t{test::kMixedBurstLen} - 1 + 3);
+  ASSERT_EQ(host.drain_packet_ins().size(), 1u);
+  EXPECT_EQ(host.pool().available(), host.pool().capacity());
+}
+
 TYPED_TEST(SwitchHostTest, RuntimeFlowModsThroughUnifiedApply) {
   typename TestFixture::Host host(TestFixture::small_config());
   host.backend().install(TestFixture::pipeline());
@@ -283,6 +318,71 @@ TEST(SwitchHost, InjectToInvalidPortIsCountedAndLeaksNothing) {
   EXPECT_EQ(host.counters().bad_port, 2u);
   EXPECT_EQ(host.counters().rx_packets, 0u);
   EXPECT_EQ(host.pool().available(), host.pool().capacity());  // no leaked buffer
+}
+
+// A TX ring that fills mid-burst takes an in-order prefix of the port's
+// stage; the tail is counted as rejected and its buffers go back to the pool.
+TEST(SwitchHost, FullTxRingAcceptsInOrderPrefix) {
+  core::SwitchHost<core::Eswitch>::Config cfg;
+  cfg.n_ports = 4;
+  cfg.port.ring_size = 16;
+  cfg.pool_capacity = 64;
+  core::SwitchHost<core::Eswitch> host(cfg);
+  host.backend().install(test::mixed_verdict_pipeline());
+
+  // Ten fillers leave room for six of the burst's twelve outputs to port 2.
+  net::Packet* filler[10];
+  ASSERT_EQ(host.pool().alloc_bulk(filler, 10), 10u);
+  ASSERT_EQ(host.ports().port(2).tx_burst(filler, 10), 10u);
+  std::vector<net::Packet> frames;
+  for (uint16_t i = 0; i < 12; ++i) {
+    frames.push_back(test::make_packet(test::udp_spec(1, 2, i, 2)));
+    ASSERT_TRUE(host.inject(1, frames.back().data(), frames.back().len()));
+  }
+
+  EXPECT_EQ(host.poll(), 12u);
+  EXPECT_EQ(host.counters().tx_packets, 6u);
+  EXPECT_EQ(host.counters().tx_rejected, 6u);
+  net::Packet* out[16];
+  ASSERT_EQ(host.drain_tx(2, out, 16), 16u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], filler[i]);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(test::frame_index(*out[10 + i], frames), i);
+  for (net::Packet* p : out) host.release(p);
+  EXPECT_EQ(host.pool().available(), host.pool().capacity());
+}
+
+// The rate cap sees a port's whole stage in one tx_burst: at each virtual
+// time it admits exactly what one tx_burst(&pkt, 1, now) per packet would.
+TEST(SwitchHost, RateCapAdmitsWhatThePerPacketPathDid) {
+  core::SwitchHost<core::Eswitch>::Config cfg;
+  cfg.n_ports = 2;
+  cfg.port.max_tx_pps = 1e6;  // one packet per virtual microsecond
+  cfg.pool_capacity = 256;
+  core::SwitchHost<core::Eswitch> host(cfg);
+  Pipeline pl;
+  pl.table(0).add(parse_rule("priority=1, actions=output:2"));
+  host.backend().install(pl);
+  net::Port reference(cfg.port);  // the per-packet path's bucket, replayed
+  net::Packet pkt = test::make_packet(test::udp_spec(1, 2, 3, 4));
+  net::Packet* one = &pkt;
+  net::Packet* drained[net::kBurstSize];
+
+  uint64_t want = 0;
+  for (const uint64_t now_ns : {10'000ull, 10'500ull, 17'300ull, 400'000ull, 400'001ull}) {
+    for (uint32_t i = 0; i < net::kBurstSize; ++i) {
+      ASSERT_TRUE(host.inject(1, pkt.data(), pkt.len()));
+      if (reference.tx_burst(&one, 1, now_ns) == 1) ++want;
+      while (reference.drain_tx(drained, net::kBurstSize) > 0) {
+      }
+    }
+    host.poll(now_ns);
+    EXPECT_EQ(host.counters().tx_packets, want) << "at " << now_ns << " ns";
+    host.drain_and_release_tx(2);
+  }
+  EXPECT_GT(want, 0u);
+  EXPECT_LT(want, 5u * net::kBurstSize);
+  EXPECT_EQ(host.counters().tx_packets + host.counters().tx_rejected, 5u * net::kBurstSize);
+  EXPECT_EQ(host.pool().available(), host.pool().capacity());
 }
 
 TEST(SwitchHost, PoolExhaustionIsCountedNotFatal) {

@@ -1,5 +1,6 @@
 #include "core/compiler.hpp"
 
+#include "common/check.hpp"
 #include "proto/headers.hpp"
 
 namespace esw::core {
@@ -117,106 +118,90 @@ constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map,
-                           const std::array<bool, 256>& decomposed,
-                           const CompilerConfig& cfg, const FusedPipeline* prev) {
+                           const std::array<std::vector<int32_t>, 256>& sub_slots,
+                           bool want_program, const CompilerConfig& cfg,
+                           const FusedPipeline* prev) {
   FusionResult res;
-  if (!cfg.enable_fusion) {
-    res.why_not = "fusion disabled";
-    return res;
-  }
-  if (pl.tables().empty()) {
-    res.why_not = "empty pipeline";
-    return res;
-  }
+  if (pl.tables().empty()) return res;
 
   auto fused = std::make_unique<FusedPipeline>();
   fused->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
   fused->stages.reserve(pl.tables().size());
   uint64_t fingerprint = kFnvBasis;
   uint64_t program_key = kFnvBasis;
+  std::vector<jit::FusedProgram::Member> members;
 
-  // Stages in pipeline order (tables are sorted by id, and the control plane
-  // validates goto_table > table_id, so the walk order is a forward DAG).
-  for (const flow::FlowTable& t : pl.tables()) {
-    const uint8_t id = t.id();
-    if (decomposed[id]) {
-      res.why_not = "decomposed logical table";
-      return res;
-    }
-    const int32_t slot = goto_map[id];
-    if (slot < 0 || slot >= dp.num_slots()) {
-      res.why_not = "table without a trampoline slot";
-      return res;
-    }
+  const auto add_stage = [&](int32_t slot, flow::FlowTable::MissPolicy miss) {
+    ESW_CHECK_MSG(slot >= 0 && slot < dp.num_slots(), "table without a slot");
     const CompiledTable* impl = dp.impl(slot);
-    if (impl == nullptr) {
-      res.why_not = "table without a compiled impl";
-      return res;
-    }
+    ESW_CHECK_MSG(impl != nullptr, "table without a compiled impl");
     FusedPipeline::Stage st;
     st.slot = slot;
     st.impl = impl;
-    st.miss = t.miss_policy();
+    st.miss = miss;
+    // memory_bytes() is read here, on the control thread, only: templates
+    // that grow in place update it without synchronizing with readers.
     st.want_prefetch =
         impl->memory_bytes() >= CompiledDatapath::kPrefetchMinBytes;
-    fused->stage_of_slot[static_cast<size_t>(slot)] =
-        static_cast<int32_t>(fused->stages.size());
+    const uint32_t stage = static_cast<uint32_t>(fused->stages.size());
+    fused->stage_of_slot[static_cast<size_t>(slot)] = static_cast<int32_t>(stage);
     const bool is_dc = impl->kind() == TableTemplate::kDirectCode;
+    if (is_dc)
+      members.push_back(
+          {stage, &static_cast<const DirectCodeTable*>(impl)->lowered()});
     fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(slot));
     fingerprint = fnv1a64(fingerprint, reinterpret_cast<uint64_t>(impl));
     fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(st.miss));
+    fingerprint = fnv1a64(fingerprint, st.want_prefetch ? 1 : 0);
     // The program key tracks only what the emitted code depends on: the
     // slot->stage topology and the direct-code members' entry chains.
     program_key = fnv1a64(program_key, static_cast<uint64_t>(slot));
     program_key = fnv1a64(program_key,
                           is_dc ? reinterpret_cast<uint64_t>(impl) : 0);
     fused->stages.push_back(st);
+  };
+  // Tables are sorted by id and gotos go forward; a decomposed table's
+  // sub-slots follow its root in topological order, and their leaves goto
+  // later logical tables — so the stage order is a forward walk order.
+  for (const flow::FlowTable& t : pl.tables()) {
+    add_stage(goto_map[t.id()], t.miss_policy());
+    for (const int32_t sub : sub_slots[t.id()]) add_stage(sub, t.miss_policy());
   }
-  if (dp.start() < 0 ||
-      static_cast<size_t>(dp.start()) >= fused->stage_of_slot.size() ||
-      fused->stage_of_slot[static_cast<size_t>(dp.start())] != 0) {
-    res.why_not = "start slot is not the first table";
-    return res;
-  }
-  fused->start_stage = 0;
+  ESW_CHECK_MSG(dp.start() >= 0 &&
+                    static_cast<size_t>(dp.start()) < fused->stage_of_slot.size() &&
+                    fused->stage_of_slot[static_cast<size_t>(dp.start())] == 0,
+                "start slot is not the first table");
   fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(fused->stages.size()));
   program_key = fnv1a64(program_key, static_cast<uint64_t>(fused->stages.size()));
   fused->fingerprint = fingerprint;
   fused->program_key = program_key;
 
-  if (prev != nullptr && prev->fingerprint == fingerprint) {
+  // Machine members: every direct-code stage, degraded-to-interpreter ones
+  // included — the fused emit is a fresh exec-map attempt of its own.
+  const bool emit = want_program && cfg.enable_jit &&
+                    jit::ExecBuffer::supported() && !members.empty();
+  if (prev != nullptr && prev->fingerprint == fingerprint &&
+      (prev->program != nullptr || !emit)) {
     // The published plan still references exactly these impls (retired impls
     // cannot have been freed before the republish decision), so it is exact.
     res.unchanged = true;
     return res;
   }
 
-  // Machine members: every direct-code stage, degraded-to-interpreter ones
-  // included — the fused emit is a fresh exec-map attempt of its own.
-  if (cfg.enable_jit && jit::ExecBuffer::supported()) {
-    std::vector<jit::FusedProgram::Member> members;
-    for (size_t i = 0; i < fused->stages.size(); ++i) {
-      const CompiledTable* impl = fused->stages[i].impl;
-      if (impl->kind() != TableTemplate::kDirectCode) continue;
-      members.push_back({static_cast<uint32_t>(i),
-                         &static_cast<const DirectCodeTable*>(impl)->lowered()});
+  if (emit) {
+    if (prev != nullptr && prev->program != nullptr &&
+        prev->program_key == program_key) {
+      fused->program = prev->program;  // churn left the members intact
+    } else {
+      fused->program = jit::FusedProgram::compile(
+          members, fused->stage_of_slot,
+          static_cast<uint32_t>(fused->stages.size()));
     }
-    if (!members.empty()) {
-      if (prev != nullptr && prev->program != nullptr &&
-          prev->program_key == program_key) {
-        fused->program = prev->program;  // churn left the members intact
-      } else {
-        fused->program = jit::FusedProgram::compile(
-            members, fused->stage_of_slot,
-            static_cast<uint32_t>(fused->stages.size()));
-        if (fused->program == nullptr) {
-          res.machine_failed = true;  // exec map refused — staged walk + retry
-          res.why_not = "fused machine compile failed";
-          return res;
-        }
-      }
+    if (fused->program != nullptr) {
       for (const jit::FusedProgram::Member& m : members)
         fused->stages[m.stage].entry = fused->program->entry(m.stage);
+    } else {
+      res.machine_failed = true;  // exec map refused — publish without code
     }
   }
 

@@ -1,11 +1,11 @@
 // Pipeline compilation helpers: template selection + construction for one
 // (sub)table, parser-plan derivation for the whole pipeline, and the
-// whole-pipeline fusion planner (ROADMAP item 3).
+// planner of the burst walk's pipeline plan.
 #pragma once
 
 #include <array>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/compiled_table.hpp"
@@ -37,36 +37,40 @@ proto::ParserPlan plan_for_requirements(uint32_t required);
 /// dependencies, dec-TTL).
 uint32_t action_proto_requirements(const flow::ActionList& actions);
 
-/// Outcome of one fusion-planning pass over the steady-state pipeline.
+/// Outcome of one planning pass over the pipeline.
 struct FusionResult {
-  /// The plan to publish, or nullptr: either the pipeline is not fusable
-  /// (why_not says why) or the machine compile failed (machine_failed) —
-  /// both degrade to the staged walk.
+  /// The plan to publish; nullptr when `unchanged` or the pipeline is empty.
   std::unique_ptr<FusedPipeline> fused;
-  /// The currently published plan is already exact (same fingerprint):
-  /// skip the republish entirely.
+  /// The currently published plan is already exact (same fingerprint, and
+  /// no machine program owed): skip the republish entirely.
   bool unchanged = false;
   /// Machine code was wanted but ExecBuffer refused the mapping (the
-  /// jit.exec_map edge) — eligible for the bounded re-fusion retry.
+  /// jit.exec_map edge): `fused` is the plan without a program, eligible
+  /// for the bounded re-fusion retry.
   bool machine_failed = false;
-  std::string why_not;
 };
 
-/// Decides fusability and builds the fused plan for the pipeline's current
-/// compiled state.  Fusability rules: fusion enabled, non-empty pipeline, no
-/// decomposed logical tables (their goto graph lives in private sub-slots),
-/// every table's root slot published with a live impl, and the datapath
-/// start pointing at the first table.  Conntrack hooks and controller miss
-/// policies ARE fusable — they ride the chunk's pre/post stages.
+/// Builds the burst walk's plan for the pipeline's current compiled state.
+/// Every non-empty pipeline gets one: stages are the logical tables in id
+/// order, each followed by its decomposition sub-slots (`sub_slots[id]`,
+/// kept in topological order by the caller), so the control plane's forward
+/// gotos (`goto_table > table_id`) make every transition go to a later
+/// stage.  Every table must have a published impl behind its slot and the
+/// datapath start must be the first table (checked).  With `want_program`
+/// (cfg.enable_fusion, outside a re-fusion retry window) and the JIT on,
+/// the direct-code stages are compiled into one machine program
+/// (jit::FusedProgram); otherwise the plan has none.
 ///
 /// When `prev` (the currently published plan) is passed: an identical
-/// fingerprint short-circuits to `unchanged`, and an identical direct-code
-/// member set (program_key) reuses the previous machine program instead of
-/// re-emitting — churn that only touched non-direct-code tables (hash
-/// clone-swaps, in-place LPM) republishes the plan without running the JIT.
+/// fingerprint short-circuits to `unchanged` unless a wanted program is
+/// missing from it, and an identical direct-code member set (program_key)
+/// reuses the previous machine program instead of re-emitting — churn that
+/// only touched non-direct-code tables (hash clone-swaps, in-place LPM)
+/// republishes the plan without running the JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map,
-                           const std::array<bool, 256>& decomposed,
-                           const CompilerConfig& cfg, const FusedPipeline* prev);
+                           const std::array<std::vector<int32_t>, 256>& sub_slots,
+                           bool want_program, const CompilerConfig& cfg,
+                           const FusedPipeline* prev);
 
 }  // namespace esw::core

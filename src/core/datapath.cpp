@@ -168,9 +168,6 @@ CompiledDatapath::Worker* CompiledDatapath::register_worker() {
     if (w.in_use_) continue;
     w.epoch_ = domain_.register_worker();
     ESW_CHECK(w.epoch_ != nullptr);
-    w.snap_gen_ = 0;
-    w.snap_.clear();
-    w.snap_touched_.clear();
     w.in_use_ = true;
     return &w;
   }
@@ -282,35 +279,6 @@ flow::Verdict CompiledDatapath::process(Worker& w, net::Packet& pkt, MemTrace* t
   return finish(flow::Verdict::drop());  // pathological loop guard
 }
 
-CompiledDatapath::SlotSnapshot& CompiledDatapath::snapshot(Worker& w, int32_t slot) {
-  // The scratch is sized at chunk start, but a swap landing *mid-chunk* can
-  // publish an impl whose goto targets are slots allocated after that — grow
-  // on demand (worker-private, so the resize races nothing).
-  if (ESW_UNLIKELY(static_cast<size_t>(slot) >= w.snap_.size()))
-    w.snap_.resize(static_cast<size_t>(slot) + 1);
-  SlotSnapshot& s = w.snap_[slot];
-  if (s.gen != w.snap_gen_) {
-    s.gen = w.snap_gen_;
-    s.impl = slots_[slot].impl.load(std::memory_order_acquire);
-    s.miss = slots_[slot].miss.load(std::memory_order_relaxed);
-    s.want_prefetch =
-        s.impl != nullptr && s.impl->memory_bytes() >= kPrefetchMinBytes;
-    s.delta = TableStats{};
-    w.snap_touched_.push_back(slot);
-  }
-  return s;
-}
-
-/// Burst-shared state threaded from process_chunk into the fused walk: the
-/// parse results and the conntrack pre-stage outputs (both stamped in stage 1
-/// for every packet, identically in the fused and staged flavors).
-struct CompiledDatapath::BurstCtx {
-  proto::ParseInfo* pis;
-  state::Conntrack* ct;
-  state::Conntrack::Hit* ct_hits;
-  uint64_t ct_now;
-};
-
 void CompiledDatapath::process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                                      flow::Verdict* out) {
   while (n > net::kBurstSize) {
@@ -324,27 +292,26 @@ void CompiledDatapath::process_burst(Worker& w, net::Packet* const* pkts, uint32
 
 void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
                                      flow::Verdict* out) {
-  // Chunk entry is the worker's quiescent point: every pointer from the
-  // previous chunk's snapshots is dead, and the fresh snapshots below
-  // re-read the trampolines (acquire) — so anything retired before the
-  // writer observed this tick can never be loaded again.
+  // Chunk entry is the worker's quiescent point: nothing loaded during the
+  // previous chunk survives here, so a plan (and the impls it pins) retired
+  // before the writer observed this tick can never be loaded again.
   if (w.epoch_ != nullptr) domain_.quiescent(*w.epoch_);
 
   Stats local;
   local.packets = n;
-  // The fused plan is loaded once per chunk: the whole chunk runs against
-  // that consistent graph (its impl pointers, not the trampolines), so a
-  // concurrent republish only lands at the next chunk — the same staleness
-  // bound as the staged snapshots.
+  // One plan per chunk: the whole chunk runs against that consistent graph
+  // (its pinned impls, not the trampolines), so a concurrent republish only
+  // lands at the next chunk.
   const FusedPipeline* const fp = fused_.load(std::memory_order_acquire);
-  const int32_t start = start_.load(std::memory_order_acquire);
-  if (ESW_UNLIKELY(start < 0 && fp == nullptr)) {
+  if (ESW_UNLIKELY(fp == nullptr)) {  // empty pipeline: nothing to walk
     local.drops = n;
     for (uint32_t i = 0; i < n; ++i) out[i] = flow::Verdict::drop();
     counter_bump(w.stats_.packets, local.packets);
     counter_bump(w.stats_.drops, local.drops);
     return;
   }
+  const uint32_t n_stages = static_cast<uint32_t>(fp->stages.size());
+  ESW_DCHECK(n_stages > 0);
 
   // Conntrack maintenance rides the chunk boundary: this is a quiescent
   // point, so no Hit pointer from a previous chunk can survive into the
@@ -357,10 +324,10 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
     ct->poll(ct_now);
   }
 
-  // Stage 1: parse the whole burst, the next frame's header line in flight
-  // while the current one parses.  The conntrack pre-stage runs here too —
-  // ct_state must be stamped before any lookup can match it — with its
-  // lookup counts tallied locally and flushed once per chunk.
+  // Parse the whole chunk, the next frame's header line in flight while the
+  // current one parses.  The conntrack pre-stage runs here too — ct_state
+  // must be stamped before any lookup can match it — with its lookup counts
+  // tallied locally and flushed once per chunk.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
   proto::ParseInfo pis[net::kBurstSize];
   state::Conntrack::LookupTally ct_tally;
@@ -373,106 +340,21 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   }
   if (ESW_UNLIKELY(ct != nullptr)) ct->count_lookups(ct_tally);
 
-  // Fused fast path: the whole goto graph as one plan (machine code where
-  // members are direct-code, pinned impls elsewhere).  Falls back to the
-  // staged walk below whenever no plan is published.
-  if (fp != nullptr) {
-    const BurstCtx ctx{pis, ct, ct_hits, ct_now};
-    process_chunk_fused(w, *fp, pkts, n, out, ctx);
-    return;
-  }
-
-  // Stage 2: hoist the per-slot acquire loads and miss policies to once per
-  // burst.  Safe under epoch reclamation: a snapshot taken here stays valid
-  // for the whole chunk because the writer frees a displaced impl only after
-  // this worker's *next* tick.
-  ++w.snap_gen_;
-  const size_t n_slots = static_cast<size_t>(n_slots_.load(std::memory_order_acquire));
-  if (w.snap_.size() < n_slots) w.snap_.resize(n_slots);
-  // By value: a mid-chunk goto into a just-allocated slot can grow w.snap_
-  // (see snapshot()), which would invalidate a reference held across the loop.
-  const SlotSnapshot start_snap = snapshot(w, start);
-
-  // Stage 3: walk each packet with packet i+1's first table lookup lines in
-  // flight (software pipelining within the burst), stats in locals.
-  if (start_snap.want_prefetch)
-    start_snap.impl->prefetch(pkts[0]->data(), pis[0]);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (i + 1 < n && start_snap.want_prefetch)
-      start_snap.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
-
-    net::Packet& pkt = *pkts[i];
-    proto::ParseInfo& pi = pis[i];
-    flow::ActionSetBuilder action_set;
-    flow::Verdict v = flow::Verdict::drop();
-    int32_t slot = start;
-    for (int hops = 0; hops < kMaxHops; ++hops) {
-      SlotSnapshot& s = snapshot(w, slot);
-      ++s.delta.lookups;
-      const uint64_t r =
-          s.impl != nullptr ? s.impl->lookup(pkt.data(), pi) : jit::kMissResult;
-      if (ESW_UNLIKELY(r == jit::kMissResult)) {
-        ++s.delta.misses;
-        v = s.miss == flow::FlowTable::MissPolicy::kController
-                ? flow::Verdict::controller()
-                : flow::Verdict::drop();
-        break;
-      }
-      ++s.delta.hits;
-      int32_t action = -1, next = -1;
-      jit::unpack_result(r, action, next);
-      if (action >= 0) action_set.merge(actions_.get(static_cast<uint32_t>(action)));
-      if (next < 0) {
-        if (ESW_UNLIKELY(ct != nullptr))
-          ct->post(ct_hits[i], action_set.ct_commit(), action_set.ct_profile(),
-                   pkt.data(), pi, ct_now);
-        v = action_set.execute(pkt, pi);
-        break;
-      }
-      ESW_DCHECK(next < num_slots());
-      slot = next;
-    }
-    count_verdict(v, local);  // the loop-guard fallthrough drop counts too
-    out[i] = v;
-  }
-
-  // Stage 4: flush the burst's stat deltas in one pass.
-  for (const int32_t slot : w.snap_touched_) {
-    Slot& s = slots_[slot];
-    const TableStats& d = w.snap_[slot].delta;
-    counter_add(s.lookups, d.lookups);
-    counter_add(s.hits, d.hits);
-    counter_add(s.misses, d.misses);
-  }
-  w.snap_touched_.clear();
-  counter_bump(w.stats_.packets, local.packets);
-  counter_bump(w.stats_.outputs, local.outputs);
-  counter_bump(w.stats_.drops, local.drops);
-  counter_bump(w.stats_.to_controller, local.to_controller);
-}
-
-void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
-                                           net::Packet* const* pkts, uint32_t n,
-                                           flow::Verdict* out, const BurstCtx& ctx) {
-  Stats local;
-  local.packets = n;
-  const uint32_t n_stages = static_cast<uint32_t>(fp.stages.size());
-  if (ESW_UNLIKELY(n_stages == 0)) {  // defensive: never published empty
-    local.drops = n;
-    for (uint32_t i = 0; i < n; ++i) out[i] = flow::Verdict::drop();
-    counter_bump(w.stats_.packets, local.packets);
-    counter_bump(w.stats_.drops, local.drops);
-    return;
-  }
-  ESW_DCHECK(fp.start_stage < n_stages);
-
-  // The per-stage stat delta block the machine code increments directly
-  // (jit/fusion.hpp layout) and the staged stages share.
-  const size_t n_counters = static_cast<size_t>(n_stages) * jit::kFusedStatStride;
-  if (w.fused_delta_.size() < n_counters) w.fused_delta_.resize(n_counters);
-  std::fill_n(w.fused_delta_.begin(), n_counters, uint64_t{0});
-  if (w.fused_actions_.size() < n_stages) w.fused_actions_.resize(n_stages);
-  uint64_t* const delta = w.fused_delta_.data();
+  // Per-stage stat deltas.  Every entry is zero between chunks; a stage's
+  // first lookup in this chunk records it as touched, and only touched
+  // stages are flushed and re-zeroed below — stat work follows the hops
+  // walked, not the plan's size.  A machine walk appends at most two trace
+  // words per stage it visits (jit/fusion.hpp).
+  if (w.stage_delta_.size() < n_stages) w.stage_delta_.resize(n_stages);
+  if (w.stage_touched_.capacity() < n_stages) w.stage_touched_.reserve(n_stages);
+  if (w.fused_trace_.size() < 2 * n_stages) w.fused_trace_.resize(2 * n_stages);
+  TableStats* const delta = w.stage_delta_.data();
+  uint32_t* const trace = w.fused_trace_.data();
+  const auto lookup_at = [&w, delta](uint32_t stage) -> TableStats& {
+    TableStats& d = delta[stage];
+    if (d.lookups++ == 0) w.stage_touched_.push_back(stage);
+    return d;
+  };
 
   // Walk state: cur >= 0 is the packet's stage; -1 = path end reached
   // (finalized in packet order below); -2 = verdict already in vd.
@@ -480,57 +362,65 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
   int32_t cur[net::kBurstSize];
   flow::Verdict vd[net::kBurstSize];
   uint32_t live = n;
-  for (uint32_t i = 0; i < n; ++i) cur[i] = static_cast<int32_t>(fp.start_stage);
+  std::fill_n(cur, n, 0);  // every walk starts at stage 0, the first table
 
-  // Round 0 keeps the staged walk's one-ahead start-stage prefetch.
-  const FusedPipeline::Stage& ss = fp.stages[fp.start_stage];
-  if (ss.want_prefetch) ss.impl->prefetch(pkts[0]->data(), ctx.pis[0]);
+  // Round 0 runs the start stage with packet i+1's lookup lines in flight
+  // (software pipelining within the chunk).
+  const FusedPipeline::Stage& ss = fp->stages[0];
+  if (ss.want_prefetch) ss.impl->prefetch(pkts[0]->data(), pis[0]);
 
   // Round-based walk: every live packet advances at least one stage per
-  // round (gotos are forward-only in a fused plan), so n_stages rounds
-  // finish every packet; anything still live after the clamp takes the
-  // same drop the kMaxHops guard applies on the staged paths.
+  // round (transitions must go forward), so n_stages rounds finish every
+  // packet; anything still live after the clamp is dropped.
   for (uint32_t round = 0; round <= n_stages && live > 0; ++round) {
     for (uint32_t i = 0; i < n; ++i) {
       const int32_t cs = cur[i];
       if (cs < 0) continue;
       if (round == 0 && i + 1 < n && ss.want_prefetch)
-        ss.impl->prefetch(pkts[i + 1]->data(), ctx.pis[i + 1]);
+        ss.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
       net::Packet& pkt = *pkts[i];
-      proto::ParseInfo& pi = ctx.pis[i];
-      const FusedPipeline::Stage& s = fp.stages[cs];
+      proto::ParseInfo& pi = pis[i];
+      const FusedPipeline::Stage& s = fp->stages[cs];
       int32_t ts;  // next stage
       if (s.entry != nullptr) {
         // Machine subgraph: runs fused members until the walk completes,
-        // misses, or exits toward a staged stage.  Per-stage counters are
-        // bumped by the generated code itself.
-        const uint64_t word =
-            s.entry(pkt.data(), &pi, w.fused_actions_.data(), delta);
-        const uint32_t nact = jit::fused_exit_actions(word);
-        for (uint32_t k = 0; k < nact; ++k)
-          asb[i].merge(actions_.get(static_cast<uint32_t>(w.fused_actions_[k])));
-        if (word & jit::kFusedCompleted) {
-          cur[i] = -1;
-          --live;
-          continue;
+        // misses, or exits toward a C++ stage.  The trace lists the action
+        // sets hit and the stages entered after this one, in walk order:
+        // every stage but the last one entered was a hit.
+        const uint64_t word = s.entry(pkt.data(), &pi, trace);
+        TableStats* d = &lookup_at(static_cast<uint32_t>(cs));
+        const uint32_t nw = jit::fused_exit_words(word);
+        for (uint32_t k = 0; k < nw; ++k) {
+          if (trace[k] & jit::kFusedEnterTag) {
+            ++d->hits;
+            d = &lookup_at(trace[k] & ~jit::kFusedEnterTag);
+          } else {
+            asb[i].merge(actions_.get(trace[k]));
+          }
         }
         if (word & jit::kFusedMiss) {
-          const uint32_t ms = jit::fused_exit_stage(word);
-          vd[i] = fp.stages[ms].miss == flow::FlowTable::MissPolicy::kController
+          ++d->misses;
+          vd[i] = fp->stages[jit::fused_exit_stage(word)].miss ==
+                          flow::FlowTable::MissPolicy::kController
                       ? flow::Verdict::controller()
                       : flow::Verdict::drop();
           cur[i] = -2;
           --live;
           continue;
         }
+        ++d->hits;
+        if (word & jit::kFusedCompleted) {
+          cur[i] = -1;
+          --live;
+          continue;
+        }
         ts = static_cast<int32_t>(jit::fused_exit_stage(word));
       } else {
-        // Staged stage inside the plan: pinned impl, same decode as the
-        // slot walk, stats into the shared delta block.
-        ++delta[cs * jit::kFusedStatStride + jit::kFusedStatLookups];
+        // C++ stage: pinned impl, packed-result decode.
+        TableStats& d = lookup_at(static_cast<uint32_t>(cs));
         const uint64_t r = s.impl->lookup(pkt.data(), pi);
         if (ESW_UNLIKELY(r == jit::kMissResult)) {
-          ++delta[cs * jit::kFusedStatStride + jit::kFusedStatMisses];
+          ++d.misses;
           vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
                       ? flow::Verdict::controller()
                       : flow::Verdict::drop();
@@ -538,7 +428,7 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
           --live;
           continue;
         }
-        ++delta[cs * jit::kFusedStatStride + jit::kFusedStatHits];
+        ++d.hits;
         int32_t action = -1, next = -1;
         jit::unpack_result(r, action, next);
         if (action >= 0) asb[i].merge(actions_.get(static_cast<uint32_t>(action)));
@@ -547,8 +437,8 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
           --live;
           continue;
         }
-        ts = static_cast<size_t>(next) < fp.stage_of_slot.size()
-                 ? fp.stage_of_slot[next]
+        ts = static_cast<size_t>(next) < fp->stage_of_slot.size()
+                 ? fp->stage_of_slot[next]
                  : -1;
       }
       if (ESW_UNLIKELY(ts <= cs || static_cast<uint32_t>(ts) >= n_stages)) {
@@ -559,22 +449,22 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
       }
       // Transition: issue the next stage's lookup prefetch now, consume it
       // next round — the cross-table extension of the one-ahead pipelining.
-      const FusedPipeline::Stage& nx = fp.stages[ts];
+      const FusedPipeline::Stage& nx = fp->stages[ts];
       if (nx.want_prefetch) nx.impl->prefetch(pkt.data(), pi);
       cur[i] = ts;
     }
   }
 
   // Finalize in packet order: conntrack post-stage + action execution for
-  // completed packets — identical ordering and side effects to the staged
-  // walk, which finishes packet i before touching packet i+1.
+  // completed packets — the same ordering and side effects as n scalar
+  // process() calls, which finish packet i before touching packet i+1.
   for (uint32_t i = 0; i < n; ++i) {
     flow::Verdict v = flow::Verdict::drop();
     if (cur[i] == -1) {
-      if (ESW_UNLIKELY(ctx.ct != nullptr))
-        ctx.ct->post(ctx.ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
-                     pkts[i]->data(), ctx.pis[i], ctx.ct_now);
-      v = asb[i].execute(*pkts[i], ctx.pis[i]);
+      if (ESW_UNLIKELY(ct != nullptr))
+        ct->post(ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
+                 pkts[i]->data(), pis[i], ct_now);
+      v = asb[i].execute(*pkts[i], pis[i]);
     } else if (cur[i] == -2) {
       v = vd[i];
     }
@@ -582,16 +472,16 @@ void CompiledDatapath::process_chunk_fused(Worker& w, const FusedPipeline& fp,
     out[i] = v;
   }
 
-  // Flush the chunk's stat deltas into the owning slots' shared counters.
-  for (uint32_t cs = 0; cs < n_stages; ++cs) {
-    Slot& s = slots_[fp.stages[cs].slot];
-    const uint64_t* d = delta + cs * jit::kFusedStatStride;
-    if (d[jit::kFusedStatLookups] != 0)
-      counter_add(s.lookups, d[jit::kFusedStatLookups]);
-    if (d[jit::kFusedStatHits] != 0) counter_add(s.hits, d[jit::kFusedStatHits]);
-    if (d[jit::kFusedStatMisses] != 0)
-      counter_add(s.misses, d[jit::kFusedStatMisses]);
+  // Flush the touched stages' deltas into their slots' shared counters.
+  for (const uint32_t st : w.stage_touched_) {
+    TableStats& d = delta[st];
+    Slot& s = slots_[fp->stages[st].slot];
+    counter_add(s.lookups, d.lookups);
+    if (d.hits != 0) counter_add(s.hits, d.hits);
+    if (d.misses != 0) counter_add(s.misses, d.misses);
+    d = TableStats{};
   }
+  w.stage_touched_.clear();
   counter_bump(w.stats_.packets, local.packets);
   counter_bump(w.stats_.outputs, local.outputs);
   counter_bump(w.stats_.drops, local.drops);

@@ -11,9 +11,9 @@
 //     (release) and retires the displaced objects into an epoch domain
 //     (`common/epoch.hpp`);
 //   * each packet worker runs inside a registered `Worker` context: its own
-//     burst scratch (trampoline snapshots), its own cacheline-padded verdict
-//     counters, and an epoch slot it ticks once per burst, at which point it
-//     provably holds no datapath pointers;
+//     burst scratch (per-stage stat deltas, machine trace), its own
+//     cacheline-padded verdict counters, and an epoch slot it ticks once per
+//     burst, at which point it provably holds no datapath pointers;
 //   * retired tables and recycled trampoline slots are freed by `reclaim()`
 //     once every registered worker has ticked past the retirement epoch —
 //     the old caller-coordinated `collect()` contract ("call when no
@@ -41,28 +41,32 @@ class Conntrack;
 
 namespace esw::core {
 
-/// The whole-pipeline fusion plan (ROADMAP item 3): an immutable snapshot of
-/// the steady-state goto graph, with the direct-code members compiled into
-/// one machine function (jit::FusedProgram) and every other stage pinned to
-/// its impl pointer so the burst walk never touches the trampoline slots.
-/// Published/retired through the epoch domain exactly like a table impl —
-/// the writer builds a fresh plan on churn (core::fuse_pipeline) and swaps
-/// it in with set_fused(); a worker loads it once per chunk (acquire) and
-/// runs the whole chunk against that consistent graph.
+/// The published pipeline plan — the one burst walk: an immutable snapshot
+/// of the goto graph with every stage pinned to its impl pointer, so the
+/// burst walk never touches the trampoline slots, and (when fusion is on)
+/// the direct-code members compiled into one machine function
+/// (jit::FusedProgram).  Published/retired through the epoch domain exactly
+/// like a table impl — the writer builds a fresh plan on churn
+/// (core::fuse_pipeline) and swaps it in with set_fused(); a worker loads it
+/// once per chunk (acquire) and runs the whole chunk against that
+/// consistent graph.
 struct FusedPipeline {
   struct Stage {
     int32_t slot = -1;                 // owning trampoline slot (stat flush)
     const CompiledTable* impl = nullptr;
     flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
     bool want_prefetch = false;
-    jit::FusedProgram::Fn entry = nullptr;  // machine entry; null = staged stage
+    jit::FusedProgram::Fn entry = nullptr;  // machine entry; null = C++ stage
   };
-  std::vector<Stage> stages;           // pipeline walk order (ascending table id)
+  /// Topological walk order, starting at stage 0: logical tables by
+  /// ascending id, each followed by its decomposition sub-slots in
+  /// topological order, so every transition goes to a later stage.
+  std::vector<Stage> stages;
   std::vector<int32_t> stage_of_slot;  // slot id -> stage index, -1 = not in plan
-  uint32_t start_stage = 0;
-  std::shared_ptr<const jit::FusedProgram> program;  // null = no machine members
-  /// Identity of (start, slot, impl, miss) — an unchanged fingerprint means
-  /// the published plan is still exact and republish can be skipped.
+  std::shared_ptr<const jit::FusedProgram> program;  // null = no machine code
+  /// Identity of (slot, impl, miss, want_prefetch) per stage — an unchanged
+  /// fingerprint means the published plan is still exact and republish can
+  /// be skipped.
   uint64_t fingerprint = 0;
   /// Identity of the direct-code member set only: when churn touched other
   /// tables (e.g. a hash clone-swap) the previous plan's machine program is
@@ -96,32 +100,20 @@ class CompiledDatapath {
     uint64_t pending = 0;    // retired, grace period not yet over
   };
 
-  /// One loop-bound policy for every walk flavor: a packet that has not
-  /// reached a verdict after this many table hops is dropped.  The staged
-  /// paths count hops directly; the fused walk's round bound (DAG depth,
-  /// forward-only gotos) is strictly tighter and ends in the same drop.
+  /// Loop bound of the scalar process() walk: a packet that has not reached
+  /// a verdict after this many table hops is dropped.  The plan walk needs
+  /// no hop count — its transitions must go forward, so it ends within one
+  /// round per stage, and a backward or unresolvable transition takes the
+  /// same drop.
   static constexpr int kMaxHops = 8192;
   /// Tables whose resident bytes fit in the private caches are skipped by
   /// the prefetch hints: the hint recomputes the lookup key (hash templates
   /// pay the key hash twice), which only amortizes when the lookup would
   /// otherwise stall on LLC/DRAM.  Structures below this bound (L2-sized)
-  /// serve lookups from warm lines anyway.  Shared by the staged snapshots
-  /// and the fusion planner (core::fuse_pipeline).
+  /// serve lookups from warm lines anyway.  The planner (core::fuse_pipeline)
+  /// applies it on the control thread and records the result per stage.
   static constexpr size_t kPrefetchMinBytes = 1024 * 1024;
 
- private:
-  /// Per-burst view of a slot: impl/miss hoisted out of the hot loop, local
-  /// stat deltas flushed when the burst ends.  `gen` stamps which burst the
-  /// snapshot belongs to so untouched slots cost nothing per burst.
-  struct SlotSnapshot {
-    const CompiledTable* impl = nullptr;
-    flow::FlowTable::MissPolicy miss = flow::FlowTable::MissPolicy::kDrop;
-    bool want_prefetch = false;
-    uint64_t gen = 0;
-    TableStats delta;
-  };
-
- public:
   /// A packet worker's execution context: burst scratch, padded verdict
   /// counters and the epoch registration.  Obtain via register_worker(); one
   /// thread drives a Worker at a time.
@@ -141,14 +133,12 @@ class CompiledDatapath {
     };
 
     StatBlock stats_;
-    std::vector<SlotSnapshot> snap_;
-    std::vector<int32_t> snap_touched_;
-    // Fused-walk scratch: the per-stage lookup/hit/miss delta block the
-    // machine code increments (stage * 3 + field, jit/fusion.hpp layout) and
-    // the per-call action-id spill array.
-    std::vector<uint64_t> fused_delta_;
-    std::vector<int32_t> fused_actions_;
-    uint64_t snap_gen_ = 0;
+    // Plan-walk scratch: per-stage stat deltas (all zero between chunks),
+    // the stages a chunk touched (the only ones flushed and re-zeroed), and
+    // the machine code's trace array (jit/fusion.hpp).
+    std::vector<TableStats> stage_delta_;
+    std::vector<uint32_t> stage_touched_;
+    std::vector<uint32_t> fused_trace_;
     common::EpochDomain::WorkerSlot* epoch_ = nullptr;  // null for the owner ctx
     uint32_t id_ = 0;
     bool in_use_ = false;  // control-thread bookkeeping
@@ -179,12 +169,12 @@ class CompiledDatapath {
   void set_miss_policy(int32_t slot, flow::FlowTable::MissPolicy miss);
   void set_start(int32_t slot) { start_.store(slot, std::memory_order_release); }
 
-  /// Publishes a fused whole-pipeline plan (release), or clears the fast
-  /// path (nullptr) so bursts fall back to the staged walk.  The displaced
-  /// plan is retired into the epoch domain — a worker mid-chunk keeps
-  /// running the old graph until its next tick, like any impl swap.  The
-  /// writer must republish (or clear) *before* reclaim() whenever an impl
-  /// referenced by the published plan was retired.
+  /// Publishes the pipeline plan bursts walk (release); nullptr (an empty
+  /// pipeline) makes every burst drop.  The displaced plan is retired into
+  /// the epoch domain — a worker mid-chunk keeps running the old graph until
+  /// its next tick, like any impl swap.  The writer must republish *before*
+  /// reclaim() whenever an impl referenced by the published plan was
+  /// retired.
   void set_fused(std::unique_ptr<FusedPipeline> fused);
   const FusedPipeline* fused() const {
     return fused_.load(std::memory_order_acquire);
@@ -211,9 +201,9 @@ class CompiledDatapath {
 
   /// Forces a quiescent tick on a worker's epoch slot from outside its
   /// thread.  Only legal while the worker provably holds no datapath
-  /// pointers — parked in backpressure, or stalled before its burst snapshot
-  /// — where the worst a racing overwrite can do is re-publish a slightly
-  /// stale epoch, which merely delays reclamation.  This is the watchdog's
+  /// pointers — parked in backpressure, or stalled before its chunk loads
+  /// the plan — where the worst a racing overwrite can do is re-publish a
+  /// slightly stale epoch, which merely delays reclamation.  This is the watchdog's
   /// recovery lever for a stuck worker pinning the epoch horizon.
   void quiesce(Worker& w) {
     if (w.epoch_ != nullptr) domain_.quiescent(*w.epoch_);
@@ -240,14 +230,15 @@ class CompiledDatapath {
   }
   /// Burst fast path: `n` packets run to completion, one verdict per packet
   /// written to `out[0..n)`.  Amortizes per-packet overhead the way a
-  /// DPDK-style loop does: the worker ticks its epoch slot, snapshots each
-  /// slot's impl pointer (acquire) and miss policy once per burst, runs the
-  /// parse stage across the burst with next-frame prefetch, walks packets
-  /// with one-ahead lookup prefetch, and flushes per-table and global stats
-  /// once per burst.  A snapshot taken at burst start stays valid for the
-  /// whole burst because a displaced impl survives at least until every
-  /// worker's next tick (epoch grace period).  `n` may exceed kBurstSize;
-  /// the loop chunks internally.
+  /// DPDK-style loop does: per chunk of up to kBurstSize packets the worker
+  /// ticks its epoch slot, loads the published plan once (acquire), runs the
+  /// parse and conntrack pre-stage across the chunk with next-frame
+  /// prefetch, walks the plan in forward-only rounds with cross-table
+  /// one-ahead lookup prefetch, and flushes the touched stages' stats and
+  /// the verdict counters once.  The plan's pinned impls stay valid for the
+  /// whole chunk because a displaced impl survives at least until every
+  /// worker's next tick (epoch grace period).  With no plan published (empty
+  /// pipeline) every packet drops.
   void process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                      flow::Verdict* out);
 
@@ -306,13 +297,8 @@ class CompiledDatapath {
     std::atomic<uint64_t> misses{0};
   };
 
-  SlotSnapshot& snapshot(Worker& w, int32_t slot);
   void process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
                      flow::Verdict* out);
-  struct BurstCtx;  // cpp-internal: parse results + conntrack pre-stage state
-  void process_chunk_fused(Worker& w, const FusedPipeline& fp,
-                           net::Packet* const* pkts, uint32_t n, flow::Verdict* out,
-                           const BurstCtx& ctx);
   std::unique_ptr<CompiledTable> take_live(CompiledTable* old);
   void retire_impl(CompiledTable* old);
   void recycle_slot(int32_t slot);
@@ -330,7 +316,7 @@ class CompiledDatapath {
   common::RetireList<int32_t> retired_slots_;
   common::RetireList<std::unique_ptr<FusedPipeline>> retired_fused_;
   std::atomic<state::Conntrack*> ct_{nullptr};
-  // Published fused plan (readers, acquire) + writer-side ownership of it.
+  // Published plan (readers, acquire) + writer-side ownership of it.
   std::atomic<const FusedPipeline*> fused_{nullptr};
   std::unique_ptr<FusedPipeline> fused_live_;
 

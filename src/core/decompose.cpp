@@ -176,6 +176,23 @@ DecomposedPipeline passthrough(const flow::FlowTable& input) {
 
 }  // namespace
 
+std::vector<int32_t> DecomposedPipeline::topo_order() const {
+  // Reverse DFS postorder from the root: a table finishes only after every
+  // table it routes to, so reversing puts each edge's source first.
+  std::vector<int32_t> post;
+  std::vector<bool> seen(tables.size(), false);
+  const auto visit = [&](const auto& self, int32_t t) -> void {
+    seen[static_cast<size_t>(t)] = true;
+    for (const Entry& e : tables[static_cast<size_t>(t)].entries)
+      if (e.internal_next >= 0 && !seen[static_cast<size_t>(e.internal_next)])
+        self(self, e.internal_next);
+    post.push_back(t);
+  };
+  if (!tables.empty()) visit(visit, 0);
+  ESW_CHECK_MSG(post.size() == tables.size(), "decomposition table unreachable");
+  return {post.rbegin(), post.rend()};
+}
+
 DecomposedPipeline decompose(const flow::FlowTable& input, uint32_t max_tables) {
   std::vector<Entry> work;
   work.reserve(input.size());

@@ -40,6 +40,11 @@ struct DecomposedPipeline {
   /// True when the input was already in (or could not leave) its given shape:
   /// a single table identical to the input.
   bool unchanged() const { return tables.size() == 1; }
+
+  /// Table indices in topological order of the `internal_next` edges, root
+  /// first.  Index order is not one: a memoized residual can be shared by a
+  /// router emitted after it, so an edge may point to a lower index.
+  std::vector<int32_t> topo_order() const;
 };
 
 /// Runs DECOMPOSE(T).  `max_tables` bounds the output; on overflow the input

@@ -66,48 +66,39 @@ void Eswitch::compile_all() {
   installing_ = false;
 }
 
-/// Re-plans the fused whole-pipeline fast path against the freshly published
-/// compiled state.  Must run after every control-plane mutation and *before*
-/// dp_.reclaim(): a published plan pins impl pointers, so any update that
-/// retired one has to republish (or clear) the plan while the retiree is
-/// still in its grace period.
+/// Re-plans the burst walk against the freshly published compiled state.
+/// Must run after every control-plane mutation and *before* dp_.reclaim():
+/// the published plan pins impl pointers, so any update that retired one
+/// has to republish the plan while the retiree is still in its grace period.
+/// That holds inside a re-fusion retry window too — there the plan is
+/// rebuilt on every update, only without a machine program.
 void Eswitch::refresh_fusion() {
-  if (!cfg_.enable_fusion) return;  // never published
-  // Retry pacing after a fused machine-compile failure: stay staged until
-  // the window elapses (no plan is published then — see fusion_retry_'s
-  // invariant — so skipping the re-plan cannot strand stale pointers).
-  if (fusion_retry_.has_value() && update_seq_ < fusion_retry_->next_at) return;
-  const bool retrying = fusion_retry_.has_value();
+  const bool in_window =
+      fusion_retry_.has_value() && update_seq_ < fusion_retry_->next_at;
+  const bool retrying = fusion_retry_.has_value() && !in_window;
   if (retrying) ++degradation_.fusion_retries;
 
-  FusionResult r =
-      fuse_pipeline(pipeline_, dp_, goto_map_, decomposed_, cfg_, dp_.fused());
-  if (r.unchanged) return;
-  if (r.fused == nullptr) {
-    if (r.machine_failed) {
-      // The exec-map edge: degrade bursts to the staged walk and schedule a
-      // bounded-backoff re-fusion attempt (the PR 7 retry policy, one knob).
-      ++degradation_.fusion_fallbacks;
-      if (!retrying && cfg_.jit_retry_base_updates > 0) {
-        fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
-                                 cfg_.jit_retry_base_updates};
-      } else if (retrying) {
-        fusion_retry_->backoff =
-            std::min<uint64_t>(fusion_retry_->backoff * 2,
-                               std::max(cfg_.jit_retry_max_updates,
-                                        cfg_.jit_retry_base_updates));
-        fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
-      }
-    } else {
-      fusion_retry_.reset();  // genuinely non-fusable: nothing to retry
+  FusionResult r = fuse_pipeline(pipeline_, dp_, goto_map_, sub_slots_,
+                                 cfg_.enable_fusion && !in_window, cfg_, dp_.fused());
+  if (r.machine_failed) {
+    // The exec-map edge: publish the plan without machine code and schedule
+    // a bounded-backoff re-fusion attempt (the per-table JIT retry policy).
+    ++degradation_.fusion_fallbacks;
+    if (!retrying && cfg_.jit_retry_base_updates > 0) {
+      fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
+                               cfg_.jit_retry_base_updates};
+    } else if (retrying) {
+      fusion_retry_->backoff =
+          std::min<uint64_t>(fusion_retry_->backoff * 2,
+                             std::max(cfg_.jit_retry_max_updates,
+                                      cfg_.jit_retry_base_updates));
+      fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
     }
-    if (dp_.fused() != nullptr) dp_.set_fused(nullptr);
-    return;
-  }
-  if (retrying) {
+  } else if (retrying) {
     ++degradation_.fusion_recoveries;
     fusion_retry_.reset();
   }
+  if (r.unchanged) return;
   ++update_stats_.fusion_republishes;
   dp_.set_fused(std::move(r.fused));
 }
@@ -155,9 +146,11 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
       for (size_t i = 1; i < d.tables.size(); ++i)
         slot_of[i] = dp_.add_slot(t->miss_policy());
 
-      // Children first, root last: readers that enter through the old root
-      // never see a half-published chain.
-      for (size_t i = d.tables.size(); i-- > 0;) {
+      // Children first, root last (reverse topological order): readers that
+      // enter through the old root never see a half-published chain.
+      const std::vector<int32_t> order = d.topo_order();
+      for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const size_t i = static_cast<size_t>(*it);
         std::vector<BuildEntry> entries = d.tables[i].entries;
         for (BuildEntry& e : entries)
           if (e.internal_next >= 0) e.internal_next = slot_of[e.internal_next];
@@ -171,7 +164,10 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
         }
       }
       decomposed_[id] = true;
-      sub_slots_[id].assign(slot_of.begin() + 1, slot_of.end());
+      // Topological order, root excluded: the planner lays the sub-slots
+      // out as stages in this order.
+      for (auto it = order.begin() + 1; it != order.end(); ++it)
+        sub_slots_[id].push_back(slot_of[static_cast<size_t>(*it)]);
       for (const int32_t s : stale_subs) dp_.retire_slot(s);
       if (fell_back) ++degradation_.template_fallbacks;
       note_jit_state(id, jit_degraded);

@@ -156,29 +156,17 @@ void Assembler::emit_return(uint64_t packed, Label epilogue) {
 void Assembler::emit_jmp(Label target) { jmp32(target); }
 
 void Assembler::emit_fused_prologue() {
-  // Park the extra arguments before anything can clobber rcx/rdx (the 8-byte
-  // field test uses both as scratch).
-  u8(0x49); u8(0x89); u8(0xD0);  // mov r8, rdx   (actions cursor)
-  u8(0x49); u8(0x89); u8(0xC9);  // mov r9, rcx   (stats base)
-  u8(0x45); u8(0x31); u8(0xD2);  // xor r10d, r10d (action count)
+  // Park the trace cursor before anything can clobber rdx (the 8-byte field
+  // test uses rcx/rdx as scratch).
+  u8(0x49); u8(0x89); u8(0xD0);  // mov r8, rdx   (trace cursor)
+  u8(0x45); u8(0x31); u8(0xD2);  // xor r10d, r10d (trace word count)
   emit_prologue();
 }
 
-void Assembler::emit_action_push(uint32_t action_set) {
-  u8(0x41); u8(0xC7); u8(0x00); u32le(action_set);  // mov dword [r8], imm32
-  u8(0x49); u8(0x83); u8(0xC0); u8(0x04);           // add r8, 4
-  u8(0x41); u8(0xFF); u8(0xC2);                     // inc r10d
-}
-
-void Assembler::emit_stat_inc(uint32_t index) {
-  const uint32_t disp = index * 8;
-  if (disp < 128) {
-    // inc qword [r9 + disp8]
-    u8(0x49); u8(0xFF); u8(0x41); u8(static_cast<uint8_t>(disp));
-  } else {
-    // inc qword [r9 + disp32]
-    u8(0x49); u8(0xFF); u8(0x81); u32le(disp);
-  }
+void Assembler::emit_trace_push(uint32_t word) {
+  u8(0x41); u8(0xC7); u8(0x00); u32le(word);  // mov dword [r8], imm32
+  u8(0x49); u8(0x83); u8(0xC0); u8(0x04);     // add r8, 4
+  u8(0x41); u8(0xFF); u8(0xC2);               // inc r10d
 }
 
 void Assembler::emit_fused_exit(uint8_t marker_bit, uint32_t stage,

@@ -55,21 +55,17 @@ class Assembler {
   //
   // Fused functions use a wider signature:
   //   uint64_t fn(const uint8_t* pkt /*rdi*/, const proto::ParseInfo* pi /*rsi*/,
-  //               int32_t* actions /*rdx*/, uint64_t* stats /*rcx*/);
+  //               uint32_t* trace /*rdx*/);
   // The 8-byte field test clobbers rcx/rdx, so the fused prologue parks the
-  // out-pointers in r8 (actions cursor) / r9 (stats base) and zeroes the
-  // pushed-action count in r10d before the shared register loads.
+  // trace cursor in r8 and zeroes the pushed-word count in r10d before the
+  // shared register loads.
 
-  /// mov r8, rdx; mov r9, rcx; xor r10d, r10d; then the standard prologue.
+  /// mov r8, rdx; xor r10d, r10d; then the standard prologue.
   void emit_fused_prologue();
 
-  /// Appends one action-set id to the actions array:
-  /// mov dword [r8], id; add r8, 4; inc r10d.
-  void emit_action_push(uint32_t action_set);
-
-  /// inc qword [r9 + 8*index] — bumps one per-stage stat counter in the
-  /// caller-provided delta block.
-  void emit_stat_inc(uint32_t index);
+  /// Appends one word (enter marker or action-set id) to the trace array:
+  /// mov dword [r8], word; add r8, 4; inc r10d.
+  void emit_trace_push(uint32_t word);
 
   /// Terminates a fused walk: rax = (r10 << 32) | marker_bits | stage,
   /// jmp epilogue.  `marker` is OR-ed in via bts (bit 63 = completed,

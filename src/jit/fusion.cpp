@@ -22,7 +22,7 @@ std::shared_ptr<const FusedProgram> FusedProgram::compile(
     is_member[m.stage] = true;
   }
 
-  // Entry stubs first: one per member, so the staged walk can re-enter the
+  // Entry stubs first: one per member, so the plan walk can re-enter the
   // fused subgraph at any member after an external (non-fused) hop.  The
   // stub loads the register convention, then falls into the member's chain.
   std::vector<Assembler::Label> stub(members.size());
@@ -39,18 +39,16 @@ std::shared_ptr<const FusedProgram> FusedProgram::compile(
   for (const Member& m : members) {
     const uint32_t s = m.stage;
     as.bind(body[s]);
-    as.emit_stat_inc(s * kFusedStatStride + kFusedStatLookups);
     for (const LoweredEntry& e : *m.entries) {
       const Assembler::Label next_flow = as.new_label();
       as.emit_proto_check(e.proto_required, next_flow);
       for (const FieldTest& t : e.tests) as.emit_field_test(t, next_flow);
       // Hit: the action id and the goto target are compile-time constants —
       // sink both into the instruction stream.
-      as.emit_stat_inc(s * kFusedStatStride + kFusedStatHits);
       int32_t action_set = -1;
       int32_t next_slot = -1;
       unpack_result(e.result, action_set, next_slot);
-      if (action_set >= 0) as.emit_action_push(static_cast<uint32_t>(action_set));
+      if (action_set >= 0) as.emit_trace_push(static_cast<uint32_t>(action_set));
       if (next_slot < 0) {
         as.emit_fused_exit(63, s, epilogue);  // path end: completed
       } else {
@@ -60,7 +58,9 @@ std::shared_ptr<const FusedProgram> FusedProgram::compile(
             static_cast<uint32_t>(ts) <= s)
           return nullptr;  // unresolvable or non-forward goto — don't fuse
         if (is_member[static_cast<uint32_t>(ts)]) {
-          as.emit_jmp(body[static_cast<uint32_t>(ts)]);  // fused dispatch
+          // Fused dispatch: record the stage entered, then jump.
+          as.emit_trace_push(kFusedEnterTag | static_cast<uint32_t>(ts));
+          as.emit_jmp(body[static_cast<uint32_t>(ts)]);
         } else {
           // Leaves the fused subgraph: hand the stage back to the C++ walk.
           as.emit_fused_exit(0, static_cast<uint32_t>(ts), epilogue);
@@ -68,8 +68,7 @@ std::shared_ptr<const FusedProgram> FusedProgram::compile(
       }
       as.bind(next_flow);
     }
-    // Fall-through: table miss at this stage.
-    as.emit_stat_inc(s * kFusedStatStride + kFusedStatMisses);
+    // Fall-through: table miss at this stage (the caller counts it).
     as.emit_fused_exit(62, s, epilogue);
   }
 

@@ -1,44 +1,44 @@
-// Whole-pipeline fusion (ROADMAP item 3): the goto graph's direct-code
-// members compiled into ONE function, with inter-table dispatch resolved at
-// compile time.
+// Whole-pipeline fusion: the goto graph's direct-code members compiled into
+// ONE function, with inter-table dispatch resolved at compile time.
 //
 // The per-table JIT (direct_code.hpp) renders a single table; between tables
-// the datapath still walks interpreted glue — unpack the packed result, map
-// the goto target to a slot, reload the next impl, dispatch again.  A
-// FusedProgram inlines that glue: each direct-code stage's entry chain is
-// emitted into one code buffer, and a hit whose goto targets another fused
-// stage becomes a plain `jmp` to that stage's first entry — no packed-result
-// round trip, no slot lookup, no indirect call.  Action-set ids are *sunk
-// into the match code* (the hit site appends the constant id to a caller
-// array), and per-stage lookup/hit/miss counters are bumped directly in
-// machine code so the fused path keeps table-stats parity with the staged
-// walk.
+// the plan walk still runs C++ glue — unpack the packed result, map the goto
+// target to a stage, dispatch again.  A FusedProgram inlines that glue: each
+// direct-code stage's entry chain is emitted into one code buffer, and a hit
+// whose goto targets another fused stage becomes a plain `jmp` to that
+// stage's first entry — no packed-result round trip, no stage lookup, no
+// indirect call.  The walk leaves a *trace* in a caller array: every hit
+// whose entry carries an action set appends that id (sunk into the
+// instruction stream as a constant), and every fused dispatch appends an
+// enter marker naming the stage it jumps to — from the markers and the exit
+// word the caller derives each visited stage's lookup/hit/miss counts.
 //
 // Fused functions use a wider SysV signature than the per-table templates:
 //
 //   uint64_t fn(const uint8_t* pkt,            // rdi
 //               const proto::ParseInfo* pi,    // rsi
-//               int32_t* actions,              // rdx -> parked in r8
-//               uint64_t* stats);              // rcx -> parked in r9
+//               uint32_t* trace);              // rdx -> parked in r8
 //
-// `actions` receives the action-set ids of every hit on the walk (append
-// order = table order); `stats` is a per-worker delta block laid out as
-// stats[stage * 3 + {lookups,hits,misses}].  The return value encodes where
-// the walk left the fused subgraph:
+// `trace` receives, in walk order, the action-set id of every hit that has
+// one and `kFusedEnterTag | stage` for every jump into another member (ids
+// never carry the tag bit).  The entry stage gets no marker: the caller
+// knows it.  The return value encodes where the walk left the fused
+// subgraph:
 //
 //   bit 63          walk completed (last hit had no goto) — verdict is the
 //                   accumulated action set
-//   bit 62          table miss at stage = low 32 bits — caller applies that
-//                   stage's miss policy
-//   neither         external goto: the walk must continue *staged* at
+//   bit 62          table miss at stage = low 32 bits — caller counts the
+//                   miss and applies that stage's miss policy
+//   neither         external goto: the plan walk continues in C++ at
 //                   stage = low 32 bits (a non-direct-code member)
-//   bits 32..61     number of action ids appended to `actions`
+//   bits 32..61     number of words appended to `trace`
 //
-// Non-direct-code stages (hash / LPM / range / linked-list) stay in the
-// staged C++ walk; the fused program exposes one entry point per member so
-// the walk can re-enter machine code whenever control returns to a fused
-// stage.  Everything here is immutable after compile — churn publishes a new
-// FusedProgram through the epoch domain exactly like a table impl.
+// Non-direct-code stages (hash / LPM / range / linked-list) are walked by the
+// C++ plan walk through their pinned impls; the fused program exposes one
+// entry point per member so the walk can re-enter machine code whenever
+// control returns to a fused stage.  Everything here is immutable after
+// compile — churn publishes a new FusedProgram through the epoch domain
+// exactly like a table impl.
 #pragma once
 
 #include <cstdint>
@@ -59,22 +59,20 @@ inline uint32_t fused_exit_stage(uint64_t w) {
   return static_cast<uint32_t>(w & 0xFFFFFFFFu);
 }
 
-/// How many action-set ids the walk appended to the `actions` array.
-inline uint32_t fused_exit_actions(uint64_t w) {
+/// How many words the walk appended to the `trace` array.
+inline uint32_t fused_exit_words(uint64_t w) {
   return static_cast<uint32_t>((w >> 32) & 0x3FFFFFFFu);
 }
 
-/// Per-stage stat layout inside the caller's delta block.
-inline constexpr uint32_t kFusedStatStride = 3;
-inline constexpr uint32_t kFusedStatLookups = 0;
-inline constexpr uint32_t kFusedStatHits = 1;
-inline constexpr uint32_t kFusedStatMisses = 2;
+/// Trace-word tag of an enter marker (low bits = stage); untagged words are
+/// action-set ids.  A walk appends at most two words per stage it visits.
+inline constexpr uint32_t kFusedEnterTag = uint32_t{1} << 31;
 
 /// One compiled function covering every direct-code member of a pipeline.
 class FusedProgram {
  public:
   using Fn = uint64_t (*)(const uint8_t* pkt, const proto::ParseInfo* pi,
-                          int32_t* actions, uint64_t* stats);
+                          uint32_t* trace);
 
   /// One fusable stage: its position in the pipeline walk order and its
   /// lowered entry chain (borrowed only for the duration of compile()).
@@ -87,8 +85,8 @@ class FusedProgram {
   /// `stage_of_slot[slot]` maps a packed-result goto slot to its stage index
   /// (-1 = unknown); `n_stages` bounds both maps.  Returns nullptr when
   /// executable memory is unavailable, linking fails, or a goto target
-  /// cannot be resolved to a forward stage — the caller degrades to the
-  /// staged walk (and may retry per the jit fallback policy).
+  /// cannot be resolved to a forward stage — the caller publishes its plan
+  /// without machine code (and may retry per the jit fallback policy).
   static std::shared_ptr<const FusedProgram> compile(
       const std::vector<Member>& members, const std::vector<int32_t>& stage_of_slot,
       uint32_t n_stages);

@@ -58,7 +58,7 @@ std::string verdict_str(const Verdict& v) {
 const char* kPathNames[4] = {"es-fused", "es-jit", "es-interp", "ovs"};
 
 /// The three Eswitch leg configurations: fused (JIT + whole-pipeline
-/// fusion), staged (JIT only) and interpreted.  The planted-fault hook rides
+/// fusion), per-table JIT (fusion off) and interpreted.  The planted-fault hook rides
 /// the fused leg — the newest path is the one under the most suspicion.
 void make_es_cfgs(const core::CompilerConfig& cfg, core::CompilerConfig out[3]) {
   out[0] = out[1] = out[2] = cfg;

@@ -3,10 +3,10 @@
 //
 // One trace is replayed through four execution paths —
 //
-//   1. core::Eswitch with whole-pipeline fusion on (bursts run the fused
-//      goto-graph function where the plan allows),
-//   2. core::Eswitch with the JIT on but fusion off (the staged per-table
-//      machine-code walk),
+//   1. core::Eswitch with whole-pipeline fusion on (bursts walk the plan,
+//      its direct-code members as one fused machine function),
+//   2. core::Eswitch with the JIT on but fusion off (the plan walk over the
+//      per-table machine code),
 //   3. core::Eswitch with the JIT off (the same lowered IR, interpreted),
 //   4. ovs::OvsSwitch (microflow/megaflow caches over the slow path),
 //

@@ -96,6 +96,44 @@ TEST(Decompose, SharedResidualTablesCollapse) {
   EXPECT_EQ(d.tables.size(), 2u);
 }
 
+TEST(Decompose, TopoOrderPutsSharedResidualAfterEveryRouter) {
+  // Both in_port branches route (on ip_src) into the same residual; the
+  // second router is emitted after it, so one edge points to a lower index.
+  // topo_order must still list every table once, root first, each edge
+  // going forward.
+  FlowTable t(0);
+  for (const char* port : {"1", "2"}) {
+    const std::string in = std::string("in_port=") + port;
+    t.add(parse_rule("priority=10," + in + ",ip_src=1.0.0.1,udp_dst=50,actions=output:1"));
+    t.add(parse_rule("priority=9," + in + ",ip_src=1.0.0.1,udp_dst=51,actions=output:2"));
+  }
+  t.add(parse_rule("priority=7,in_port=2,ip_src=1.0.0.2,udp_dst=53,actions=output:4"));
+  const auto d = decompose(t);
+  ASSERT_FALSE(d.unchanged());
+
+  bool backward = false;
+  for (size_t i = 0; i < d.tables.size(); ++i)
+    for (const auto& e : d.tables[i].entries)
+      backward |= e.internal_next >= 0 && static_cast<size_t>(e.internal_next) < i;
+  ASSERT_TRUE(backward) << "no memoized backward edge to order";
+
+  const std::vector<int32_t> order = d.topo_order();
+  ASSERT_EQ(order.size(), d.tables.size());
+  EXPECT_EQ(order[0], 0);
+  std::vector<int> pos(d.tables.size(), -1);
+  for (size_t k = 0; k < order.size(); ++k) {
+    ASSERT_EQ(pos[static_cast<size_t>(order[k])], -1) << "table listed twice";
+    pos[static_cast<size_t>(order[k])] = static_cast<int>(k);
+  }
+  for (size_t i = 0; i < d.tables.size(); ++i) {
+    for (const auto& e : d.tables[i].entries) {
+      if (e.internal_next < 0) continue;
+      EXPECT_LT(pos[i], pos[static_cast<size_t>(e.internal_next)])
+          << "edge " << i << " -> " << e.internal_next;
+    }
+  }
+}
+
 // Property: the decomposed pipeline is semantically equivalent to the input
 // (paper's definition) — verified by running both through ESWITCH and the
 // reference interpreter on random packets.

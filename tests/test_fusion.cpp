@@ -1,12 +1,14 @@
-// Whole-pipeline JIT fusion (jit/fusion.hpp, core::fuse_pipeline): the fused
-// burst fast path must be observably identical to the staged per-table walk —
-// same verdicts, same packet mutations, same per-table and global stats — for
-// every template shape, goto chains, both miss policies, and under churn.
+// The burst walk's plan (core::fuse_pipeline) and whole-pipeline JIT fusion
+// (jit/fusion.hpp): every non-empty pipeline publishes a plan, and the plan
+// walk — with or without the fused machine program — must be observably
+// identical to the scalar per-hop reference process(): same verdicts, same
+// packet mutations, same per-table and global stats — for every template
+// shape, goto chains, decomposed DAGs, both miss policies, and under churn.
 // The degradation story is covered too: an exec-map refusal during the fused
-// compile degrades bursts to the staged walk, is accounted in the fusion
-// ledger, and heals through the bounded-backoff retry; pathological goto
-// graphs (cycles hand-wired below the control-plane validator) terminate in
-// the shared loop-bound drop instead of hanging the walk.
+// compile publishes the plan without machine code, is accounted in the
+// fusion ledger, and heals through the bounded-backoff retry; pathological
+// goto graphs (cycles hand-wired below the control-plane validator)
+// terminate in a bounded drop instead of hanging the walk.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "core/decompose.hpp"
 #include "core/eswitch.hpp"
 #include "flow/dsl.hpp"
 #include "jit/exec_mem.hpp"
@@ -111,6 +114,26 @@ RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
   return r;
 }
 
+/// The same sequence through the scalar reference, one process() per packet.
+RunResult run_scalar(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+  RunResult r;
+  net::Packet p;
+  for (size_t i = 0; i < n; ++i) {
+    ts.load(i, p);
+    r.verdicts.push_back(sw.process(p));
+    r.digests.push_back(packet_digest(p));
+  }
+  return r;
+}
+
+void expect_runs_equal(const RunResult& a, const RunResult& b) {
+  ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
+  for (size_t i = 0; i < a.verdicts.size(); ++i) {
+    ASSERT_EQ(a.verdicts[i], b.verdicts[i]) << "packet " << i;
+    ASSERT_EQ(a.digests[i], b.digests[i]) << "packet " << i;
+  }
+}
+
 void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   const auto sa = a.datapath().stats();
   const auto sb = b.datapath().stats();
@@ -128,30 +151,51 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Same pipeline into a fused and a fusion-disabled switch, same burst
+/// Same pipeline into a fused switch, a fusion-disabled switch (plan walk
+/// without machine code) and a scalar reference switch, same packet
 /// sequence: verdicts, frame mutations, verdict-level and per-slot stats must
 /// agree packet for packet.
 void expect_fused_parity(const Pipeline& pl,
                          const std::vector<net::FlowSpec>& flows,
                          CompilerConfig cfg = {}, size_t n_packets = 3000) {
-  CompilerConfig fused_cfg = cfg, staged_cfg = cfg;
+  CompilerConfig fused_cfg = cfg, plain_cfg = cfg;
   fused_cfg.enable_fusion = true;
-  staged_cfg.enable_fusion = false;
-  Eswitch fused_sw(fused_cfg), staged_sw(staged_cfg);
+  plain_cfg.enable_fusion = false;
+  Eswitch fused_sw(fused_cfg), plain_sw(plain_cfg), scalar_sw(fused_cfg);
   fused_sw.install(pl);
-  staged_sw.install(pl);
+  plain_sw.install(pl);
+  scalar_sw.install(pl);
   ASSERT_TRUE(fused_sw.fused_active()) << "plan was not published";
-  ASSERT_FALSE(staged_sw.fused_active());
+  ASSERT_FALSE(plain_sw.fused_active());
+  ASSERT_NE(plain_sw.datapath().fused(), nullptr) << "fusion off must still plan";
+  EXPECT_EQ(plain_sw.datapath().fused()->program, nullptr);
   const auto ts = net::TrafficSet::from_flows(flows);
 
-  const RunResult f = run_bursts(fused_sw, ts, n_packets);
-  const RunResult s = run_bursts(staged_sw, ts, n_packets);
-  ASSERT_EQ(f.verdicts.size(), s.verdicts.size());
-  for (size_t i = 0; i < f.verdicts.size(); ++i) {
-    ASSERT_EQ(f.verdicts[i], s.verdicts[i]) << "packet " << i;
-    ASSERT_EQ(f.digests[i], s.digests[i]) << "packet " << i;
+  const RunResult ref = run_scalar(scalar_sw, ts, n_packets);
+  expect_runs_equal(run_bursts(fused_sw, ts, n_packets), ref);
+  expect_runs_equal(run_bursts(plain_sw, ts, n_packets), ref);
+  expect_stats_equal(fused_sw, scalar_sw);
+  expect_stats_equal(plain_sw, scalar_sw);
+}
+
+/// Every goto a plan stage can take must land on a later stage.  Only
+/// direct-code stages expose their results, so the caller's pipeline must
+/// compile every stage to direct code.
+void expect_forward_transitions(const FusedPipeline& fp) {
+  for (size_t st = 0; st < fp.stages.size(); ++st) {
+    const core::CompiledTable* impl = fp.stages[st].impl;
+    ASSERT_EQ(impl->kind(), TableTemplate::kDirectCode) << "stage " << st;
+    for (const jit::LoweredEntry& e :
+         static_cast<const core::DirectCodeTable*>(impl)->lowered()) {
+      int32_t action = -1, next = -1;
+      jit::unpack_result(e.result, action, next);
+      if (next < 0) continue;
+      ASSERT_LT(static_cast<size_t>(next), fp.stage_of_slot.size());
+      EXPECT_GT(fp.stage_of_slot[static_cast<size_t>(next)],
+                static_cast<int32_t>(st))
+          << "stage " << st << " goes back to slot " << next;
+    }
   }
-  expect_stats_equal(fused_sw, staged_sw);
 }
 
 // --- fusability ------------------------------------------------------------
@@ -214,28 +258,92 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
   }
 }
 
-TEST(Fusion, NotFusedWhenDisabledOrDecomposed) {
+TEST(Fusion, PlanWalkWhenDisabledOrDecomposed) {
   {
+    // Fusion off: a plan without a machine program, walked like any other.
+    const auto uc = uc::make_l2(64);
     CompilerConfig cfg;
     cfg.enable_fusion = false;
     Eswitch sw(cfg);
-    sw.install(uc::make_l2(64).pipeline);
+    sw.install(uc.pipeline);
     EXPECT_FALSE(sw.fused_active());
+    const FusedPipeline* fp = sw.datapath().fused();
+    ASSERT_NE(fp, nullptr);
+    EXPECT_EQ(fp->program, nullptr);
+    EXPECT_EQ(fp->stages.size(), 1u);
+    expect_fused_parity(uc.pipeline, uc.traffic(1000, 3));
   }
   {
+    // Decomposed: the root and every sub-slot are ordinary stages.
+    const auto uc = uc::make_load_balancer(20);
     CompilerConfig cfg;
     cfg.enable_decomposition = true;
     Eswitch sw(cfg);
-    const auto uc = uc::make_load_balancer(20);
     sw.install(uc.pipeline);
     ASSERT_TRUE(sw.is_decomposed(0));
-    EXPECT_FALSE(sw.fused_active());
-    // The staged walk still serves the decomposed pipeline correctly.
-    net::Packet p = test::make_packet(uc.traffic(4, 5)[0].pkt);
-    net::Packet* pp = &p;
-    Verdict v;
-    sw.process_burst(&pp, 1, &v);
-    EXPECT_EQ(sw.datapath().stats().packets, 1u);
+    EXPECT_TRUE(sw.fused_active());
+    const FusedPipeline* fp = sw.datapath().fused();
+    ASSERT_NE(fp, nullptr);
+    EXPECT_EQ(fp->stages.size(), sw.decomposed_table_count(0));
+    EXPECT_EQ(fp->stages[0].slot, sw.root_slot(0));
+    expect_fused_parity(uc.pipeline, uc.traffic(2000, 5), cfg);
+  }
+}
+
+TEST(Fusion, DecomposedDagPlansInTopologicalOrder) {
+  // A table whose decomposition shares one memoized residual between two
+  // routers, the second router emitted after the residual: index order has
+  // a backward edge, so the plan must lay stages out topologically.
+  //   root (in_port) -> R1 (ip_src) -> X (udp_dst)
+  //                  -> R2 (ip_src) -> X (memo hit), three more leaves
+  Pipeline pl;
+  flow::FlowTable& t = pl.table(0);
+  for (const char* port : {"1", "2"}) {
+    const std::string in = std::string("in_port=") + port;
+    t.add(parse_rule("priority=10," + in + ",ip_src=1.0.0.1,udp_dst=50,actions=output:1"));
+    t.add(parse_rule("priority=9," + in + ",ip_src=1.0.0.1,udp_dst=51,actions=output:2"));
+    t.add(parse_rule("priority=8," + in + ",ip_src=1.0.0.1,udp_dst=52,actions=dec_ttl,output:3"));
+  }
+  t.add(parse_rule("priority=7,in_port=2,ip_src=1.0.0.2,udp_dst=53,actions=output:4"));
+  t.add(parse_rule("priority=6,in_port=2,ip_src=1.0.0.3,udp_dst=54,actions=output:5"));
+  // A second mask keeps the table off the hash template, on the
+  // decomposition-eligible linked list.
+  t.add(parse_rule("priority=5,in_port=2,ip_src=1.0.0.4,actions=output:6"));
+
+  const core::DecomposedPipeline d = core::decompose(t);
+  ASSERT_GE(d.tables.size(), 5u);
+  bool backward = false;
+  for (size_t i = 0; i < d.tables.size(); ++i)
+    for (const auto& e : d.tables[i].entries)
+      backward |= e.internal_next >= 0 && static_cast<size_t>(e.internal_next) < i;
+  ASSERT_TRUE(backward) << "decomposition has no memoized backward edge";
+
+  std::vector<net::FlowSpec> flows;
+  Rng rng(0xDA6);
+  for (int i = 0; i < 400; ++i) {
+    net::FlowSpec f;
+    f.pkt = test::udp_spec(0x01000001 + static_cast<uint32_t>(rng.below(5)), 7, 9,
+                           static_cast<uint16_t>(49 + rng.below(7)));
+    f.in_port = static_cast<uint32_t>(rng.below(4));
+    flows.push_back(f);
+  }
+  for (const bool jit : {true, false}) {
+    CompilerConfig cfg;
+    cfg.enable_decomposition = true;
+    cfg.enable_jit = jit;
+    Eswitch sw(cfg);
+    sw.install(pl);
+    ASSERT_TRUE(sw.is_decomposed(0));
+    const FusedPipeline* fp = sw.datapath().fused();
+    ASSERT_NE(fp, nullptr);
+    ASSERT_EQ(fp->stages.size(), d.tables.size());
+    expect_forward_transitions(*fp);
+    if (jit && jit::ExecBuffer::supported()) {
+      EXPECT_NE(fp->program, nullptr);
+    }
+    // Verdicts, frames and every sub-slot's table_stats against the scalar
+    // walk (expect_stats_equal covers every slot the switches allocated).
+    expect_fused_parity(pl, flows, cfg, 2000);
   }
 }
 
@@ -393,36 +501,101 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   sw.install(pl);
   ASSERT_TRUE(sw.fused_active());
   ASSERT_NE(sw.datapath().fused()->program, nullptr);
+  Eswitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
+  const auto burst_one = [&](uint16_t udp_dst) {
+    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, udp_dst));
+    net::Packet* pp = &p;
+    Verdict v;
+    sw.process_burst(*w, &pp, 1, &v);
+    return v;
+  };
 
   {
     ExecFailGuard guard;
     // The rebuild degrades the table to the interpreter AND refuses the
-    // fused re-compile: the plan must be cleared, not left stale.
+    // fused re-compile: the plan is published without machine code.
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
   }
-  EXPECT_FALSE(sw.fused_active()) << "refused compile left a plan published";
+  EXPECT_FALSE(sw.fused_active()) << "refused compile reported as fused";
+  const FusedPipeline* window_plan = sw.datapath().fused();
+  ASSERT_NE(window_plan, nullptr) << "refused compile left no plan";
+  EXPECT_EQ(window_plan->program, nullptr);
   EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
+  EXPECT_EQ(burst_one(99), Verdict::output(5));
 
-  // Degraded bursts still process correctly through the staged walk.
-  net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 99));
-  net::Packet* pp = &p;
-  Verdict v;
-  sw.process_burst(&pp, 1, &v);
-  EXPECT_EQ(v, Verdict::output(5));
-
-  // Two healthy updates elapse the retry window; the re-fusion must land and
-  // be accounted as a recovery.
+  // A rebuild inside the retry window retires the impl the published plan
+  // pins: the plan must be replaced before reclaim() frees it, or the next
+  // burst walks freed memory (the ASan leg's target).
+  const core::CompiledTable* pinned = window_plan->stages[1].impl;
   sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
+  const FusedPipeline* replanned = sw.datapath().fused();
+  ASSERT_NE(replanned, nullptr);
+  EXPECT_NE(replanned->stages[1].impl, pinned);
+  EXPECT_EQ(replanned->program, nullptr) << "machine code emitted inside the window";
+  EXPECT_FALSE(sw.fused_active());
+  EXPECT_EQ(burst_one(100), Verdict::output(6));  // ticks past the retirement
+  const uint64_t reclaimed = sw.datapath().reclaim_stats().reclaimed;
+  sw.datapath().reclaim();
+  EXPECT_GT(sw.datapath().reclaim_stats().reclaimed, reclaimed);
+  EXPECT_EQ(burst_one(99), Verdict::output(5));
+  EXPECT_EQ(burst_one(100), Verdict::output(6));
+
+  // The next update elapses the retry window; the re-fusion must land and
+  // be accounted as a recovery.
   sw.apply(add_mod(1, "priority=7,udp_dst=101,actions=output:7"));
   EXPECT_TRUE(sw.fused_active()) << "retry window elapsed without re-fusing";
+  EXPECT_NE(sw.datapath().fused()->program, nullptr);
   EXPECT_GE(sw.degradation_stats().fusion_retries, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
+  EXPECT_EQ(burst_one(53), Verdict::output(4));
+  EXPECT_EQ(burst_one(101), Verdict::output(7));
 
-  net::Packet p2 = test::make_packet(test::udp_spec(1, 2, 9, 53));
-  net::Packet* pp2 = &p2;
-  sw.process_burst(&pp2, 1, &v);
-  EXPECT_EQ(v, Verdict::output(4));
+  sw.unregister_worker(w);
+  sw.datapath().reclaim();
+  EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u);
+}
+
+TEST(Fusion, InPlaceGrowthRefreshesPrefetchFlag) {
+  // A cuckoo table grows in place under a registered worker (same impl
+  // pointer): the plan's want_prefetch must follow it across
+  // kPrefetchMinBytes, so the flag is part of the plan fingerprint.
+  CompilerConfig cfg;
+  cfg.cuckoo_min_entries = 16;
+  Pipeline pl;
+  for (int i = 0; i < 32; ++i)
+    pl.table(0).add(parse_rule("priority=5,ip_dst=10.0.0." + std::to_string(i) +
+                               ",actions=output:1"));
+  Eswitch sw(cfg);
+  sw.install(pl);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
+  Eswitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
+  const core::CompiledTable* impl = sw.datapath().impl(sw.root_slot(0));
+  ASSERT_FALSE(sw.datapath().fused()->stages[0].want_prefetch);
+
+  uint32_t next = 1000;
+  while (sw.datapath().memory_bytes() < CompiledDatapath::kPrefetchMinBytes &&
+         next < 400000) {
+    std::vector<FlowMod> batch;
+    for (int k = 0; k < 1024; ++k, ++next) {
+      FlowMod fm;
+      fm.command = FlowMod::Cmd::kAdd;
+      fm.table_id = 0;
+      fm.priority = 5;
+      fm.match.set(FieldId::kIpDst, next);
+      fm.actions.push_back(flow::Action::output(2));
+      batch.push_back(fm);
+    }
+    sw.apply_batch(batch);
+  }
+  ASSERT_GE(sw.datapath().memory_bytes(), CompiledDatapath::kPrefetchMinBytes);
+  ASSERT_EQ(sw.datapath().impl(sw.root_slot(0)), impl) << "table did not grow in place";
+  EXPECT_TRUE(sw.datapath().fused()->stages[0].want_prefetch);
+
+  sw.unregister_worker(w);
+  sw.datapath().reclaim();
 }
 
 // --- pathological goto graphs (shared loop-bound policy) --------------------
@@ -430,7 +603,7 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
 TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   // Two interpreter tables hand-wired into a cycle via raw internal_next slot
   // ids — below the control-plane validator (which enforces forward gotos).
-  // Both walk flavors must terminate in kMaxHops drops, with the stats
+  // The scalar walk must terminate in a kMaxHops drop, with the stats
   // windows flushed mid-walk (the hoisted lap guard), not hang.
   CompiledDatapath dp;
   const core::GotoMap gmap(256, -1);
@@ -447,18 +620,20 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
 
   net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
   EXPECT_EQ(dp.process(p), Verdict::drop());  // scalar walk
-
-  net::Packet* pp = &p;
-  Verdict v = Verdict::output(9);
-  dp.process_burst(&pp, 1, &v);  // staged burst walk
-  EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().packets, 2u);
-  EXPECT_EQ(dp.stats().drops, 2u);
+  EXPECT_EQ(dp.stats().packets, 1u);
+  EXPECT_EQ(dp.stats().drops, 1u);
   // Every hop was counted before the guard dropped the packet.
   const auto ts0 = dp.table_stats(s0);
   const auto ts1 = dp.table_stats(s1);
   EXPECT_EQ(ts0.lookups + ts1.lookups,
-            2u * static_cast<uint64_t>(CompiledDatapath::kMaxHops));
+            static_cast<uint64_t>(CompiledDatapath::kMaxHops));
+
+  // No plan published: the burst drops without walking.
+  net::Packet* pp = &p;
+  Verdict v = Verdict::output(9);
+  dp.process_burst(&pp, 1, &v);
+  EXPECT_EQ(v, Verdict::drop());
+  EXPECT_EQ(dp.stats().drops, 2u);
 
   // A hand-built fused plan with the same backward edge: the fused walk's
   // monotone-stage guard must drop at the first backward transition.
@@ -471,6 +646,7 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   fp->stage_of_slot[static_cast<size_t>(s0)] = 0;
   fp->stage_of_slot[static_cast<size_t>(s1)] = 1;
   dp.set_fused(std::move(fp));
+  v = Verdict::output(9);
   dp.process_burst(&pp, 1, &v);
   EXPECT_EQ(v, Verdict::drop());
   EXPECT_EQ(dp.stats().drops, 3u);
@@ -529,6 +705,60 @@ TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   sw.datapath().reclaim();
   EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u)
       << "retired plans/impls stuck after the last worker left";
+}
+
+TEST(Fusion, ConcurrentChurnDecomposed) {
+  // Two packet workers walk the plan while the control thread rebuilds a
+  // decomposed table (each add re-decomposes it: fresh sub-slots, the old
+  // chain retired behind the root swap, a new plan).  Verdicts must be
+  // conserved and every retired sub-slot reclaimed once the workers leave.
+  const auto uc = uc::make_load_balancer(10);
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  Eswitch sw(cfg);
+  sw.install(uc.pipeline);
+  ASSERT_TRUE(sw.is_decomposed(0));
+  Eswitch::Worker* ws[2] = {sw.register_worker(), sw.register_worker()};
+  ASSERT_NE(ws[0], nullptr);
+  ASSERT_NE(ws[1], nullptr);
+
+  const auto ts = net::TrafficSet::from_flows(uc.traffic(256, 17));
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> processed{0};
+  const auto run = [&](Eswitch::Worker* w, size_t offset) {
+    std::vector<net::Packet> bufs(net::kBurstSize);
+    std::vector<net::Packet*> ptrs(bufs.size());
+    Verdict verdicts[net::kBurstSize];
+    for (size_t b = 0; b < bufs.size(); ++b) ptrs[b] = &bufs[b];
+    size_t i = offset;
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t b = 0; b < net::kBurstSize; ++b)
+        ts.load((i + b) % 256, bufs[b]);
+      sw.process_burst(*w, ptrs.data(), net::kBurstSize, verdicts);
+      processed.fetch_add(net::kBurstSize, std::memory_order_relaxed);
+      i += net::kBurstSize;
+    }
+  };
+  std::thread t0(run, ws[0], 0), t1(run, ws[1], 128);
+
+  const auto retired_before = sw.datapath().reclaim_stats().retired;
+  for (int k = 0; k < 40; ++k)
+    sw.apply(add_mod(0, "priority=15,in_port=1,ip_dst=10.9.0." + std::to_string(k) +
+                            ",tcp_dst=80,actions=output:3"));
+  stop.store(true);
+  t0.join();
+  t1.join();
+  sw.unregister_worker(ws[0]);
+  sw.unregister_worker(ws[1]);
+
+  ASSERT_TRUE(sw.is_decomposed(0));
+  EXPECT_GT(sw.datapath().reclaim_stats().retired, retired_before);
+  const auto st = sw.datapath().stats();
+  EXPECT_EQ(st.packets, processed.load());
+  EXPECT_EQ(st.packets, st.outputs + st.drops + st.to_controller);
+  sw.datapath().reclaim();
+  EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u)
+      << "retired sub-slots stuck after the last worker left";
 }
 
 }  // namespace

@@ -19,6 +19,15 @@ class MemTrace {
     for (uintptr_t line = first; line <= last; ++line) lines_.push_back(line);
   }
 
+  /// Records the ceil(bytes/64) lines a line-aligned block of `bytes` covers,
+  /// from p's line on.  For modeled footprints (not real data) whose real
+  /// placement is not what the model prices: the count is the same wherever
+  /// the allocator put `p`.
+  void touch_block(const void* p, size_t bytes) {
+    const uintptr_t first = reinterpret_cast<uintptr_t>(p) >> 6;
+    for (uintptr_t k = 0; k < (bytes + 63) / 64; ++k) lines_.push_back(first + k);
+  }
+
   const std::vector<uintptr_t>& lines() const { return lines_; }
   void clear() { lines_.clear(); }
 

@@ -57,8 +57,10 @@ uint64_t DirectCodeTable::lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
     // Model the instruction-stream working set: the keys live *in the code*
     // (§3.3 — "compiling match keys right into the code directs some of this
     // load to the CPU instruction caches"), entry after entry until the hit.
+    // Each entry's modeled code block is charged whole lines, so the count
+    // does not depend on where the heap put lowered_.
     for (const jit::LoweredEntry& e : lowered_) {
-      trace->touch(&e, 16 + e.tests.size() * sizeof(jit::FieldTest));
+      trace->touch_block(&e, 16 + e.tests.size() * sizeof(jit::FieldTest));
       const uint64_t r = jit::interpret(&e, 1, pkt, pi);
       if (r != jit::kMissResult) return r;
     }

@@ -325,20 +325,19 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   }
 
   // Parse the whole chunk, the next frame's header line in flight while the
-  // current one parses.  The conntrack pre-stage runs here too — ct_state
-  // must be stamped before any lookup can match it — with its lookup counts
-  // tallied locally and flushed once per chunk.
+  // current one parses.  Then the conntrack pre-stage — ct_state must be
+  // stamped before any lookup can match it — over the whole chunk at once,
+  // so its connection lookups take their cache misses together.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
   proto::ParseInfo pis[net::kBurstSize];
-  state::Conntrack::LookupTally ct_tally;
+  const uint8_t* frames[net::kBurstSize];
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) esw_prefetch(pkts[i + 1]->data());
-    proto::parse(pkts[i]->data(), pkts[i]->len(), plan, pis[i]);
+    frames[i] = pkts[i]->data();
+    proto::parse(frames[i], pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
-    if (ESW_UNLIKELY(ct != nullptr))
-      ct_hits[i] = ct->pre(pkts[i]->data(), pis[i], ct_now, ct_tally);
   }
-  if (ESW_UNLIKELY(ct != nullptr)) ct->count_lookups(ct_tally);
+  if (ESW_UNLIKELY(ct != nullptr)) ct->pre_burst(frames, pis, n, ct_now, ct_hits);
 
   // Per-stage stat deltas.  Every entry is zero between chunks; a stage's
   // first lookup in this chunk records it as touched, and only touched

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/bits.hpp"
 #include "common/check.hpp"
 #include "common/counters.hpp"
 #include "common/failpoint.hpp"
@@ -187,17 +188,68 @@ void Conntrack::touch_tcp(Entry& e, uint8_t dir, uint8_t flags) {
   }
 }
 
-Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi,
-                              uint64_t now, LookupTally& tally) {
+Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now) {
   Hit hit;
   hit.tuple_valid = extract_tuple(pkt, pi, &hit.tuple);
   if (!hit.tuple_valid) {
     pi.ct_state = 0;
     return hit;
   }
-  ++tally.lookups;
+  const bool found = resolve(pkt, pi, hash_tuple(hit.tuple), now, hit);
+  count_lookups(1, found ? 1 : 0);
+  return hit;
+}
 
-  const uint64_t h = hash_tuple(hit.tuple);
+void Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
+                          uint64_t now, Hit* hits) {
+  uint64_t lookups = 0, found = 0;
+  for (uint32_t base = 0; base < n; base += kBurstWindow) {
+    const uint32_t m = std::min(kBurstWindow, n - base);
+    const uint8_t* const* p = pkts + base;
+    proto::ParseInfo* pi = pis + base;
+    Hit* hit = hits + base;
+    uint64_t h[kBurstWindow] = {};
+    const HashLink* head[kBurstWindow] = {};
+
+    // Hint passes: each issues one dependent load per packet for the whole
+    // window, so the window's misses at each level of the chain overlap.
+    // They read what resolve() reads, through the same acquire loads, so
+    // the epoch argument that covers a lookup covers them too.
+    for (uint32_t i = 0; i < m; ++i) {
+      hit[i] = Hit{};
+      hit[i].tuple_valid = extract_tuple(p[i], pi[i], &hit[i].tuple);
+      h[i] = hit[i].tuple_valid ? hash_tuple(hit[i].tuple) : 0;
+      if (hit[i].tuple_valid) esw_prefetch(&buckets_[bucket_of(h[i])]);
+    }
+    for (uint32_t i = 0; i < m; ++i) {
+      head[i] = hit[i].tuple_valid
+                    ? buckets_[bucket_of(h[i])].load(std::memory_order_acquire)
+                    : nullptr;
+      if (head[i] != nullptr) esw_prefetch(head[i]);
+    }
+    for (uint32_t i = 0; i < m; ++i) {
+      if (head[i] == nullptr) continue;
+      const Entry* e = head[i]->entry;  // per-slot constant (see constructor)
+      esw_prefetch(head[i]->dir == 0 ? &e->orig : &e->reply);
+    }
+
+    // Resolution, in packet order.  The hint pointers are stale by design:
+    // an earlier packet of this window may have committed into the same
+    // bucket, so every packet walks its chain from a fresh head load.
+    for (uint32_t i = 0; i < m; ++i) {
+      if (!hit[i].tuple_valid) {
+        pi[i].ct_state = 0;
+        continue;
+      }
+      ++lookups;
+      found += resolve(p[i], pi[i], h[i], now, hit[i]) ? 1 : 0;
+    }
+  }
+  count_lookups(lookups, found);
+}
+
+bool Conntrack::resolve(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t h,
+                        uint64_t now, Hit& hit) {
   for (HashLink* l = buckets_[bucket_of(h)].load(std::memory_order_acquire);
        l != nullptr; l = l->next.load(std::memory_order_acquire)) {
     Entry* e = l->entry;
@@ -210,31 +262,29 @@ Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi,
   }
 
   if (hit.entry != nullptr) {
-    ++tally.hits;
     touch_tcp(*hit.entry, hit.dir, tcp_flags_of(pkt, pi));
     hit.entry->last_seen_ms.store(now, std::memory_order_relaxed);
     pi.ct_state = state_bits(*hit.entry, hit.dir);
-    return hit;
+    return true;
   }
 
-  ++tally.misses;
   const uint8_t flags = tcp_flags_of(pkt, pi);
   const bool tcp = hit.tuple.proto == proto::kIpProtoTcp;
   const bool openable = !tcp || (flags & proto::kTcpFlagSyn) != 0 ||
                         cfg_.midstream_pickup;
   if (!openable) {
     pi.ct_state = kCtTracked | kCtInvalid;
-    return hit;
+    return false;
   }
   pi.ct_state = kCtTracked | kCtNew;
   if (cfg_.auto_commit) hit.entry = commit(hit.tuple, flags, 0, now);
-  return hit;
+  return false;
 }
 
-void Conntrack::count_lookups(const LookupTally& tally) {
-  common::counter_add(c_.lookups, tally.lookups);
-  common::counter_add(c_.hits, tally.hits);
-  common::counter_add(c_.misses, tally.misses);
+void Conntrack::count_lookups(uint64_t lookups, uint64_t hits) {
+  common::counter_add(c_.lookups, lookups);
+  common::counter_add(c_.hits, hits);
+  common::counter_add(c_.misses, lookups - hits);
 }
 
 void Conntrack::post(const Hit& hit, bool commit_requested, uint32_t profile,

@@ -121,29 +121,20 @@ class Conntrack {
   Conntrack(const Conntrack&) = delete;
   Conntrack& operator=(const Conntrack&) = delete;
 
-  /// Lookup outcome counts a caller accumulates over a burst chunk and
-  /// flushes once with count_lookups(): the shared counters are RMWs.
-  struct LookupTally {
-    uint64_t lookups = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-
   /// Pre-stage: lookup, TCP state transition, ct_state stamp, last-seen
-  /// touch.  Lock-free; safe from any worker.  Mutates only pi.ct_state; the
-  /// lookup outcome is added to `tally`, not to stats().
-  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms, LookupTally& tally);
+  /// touch.  Lock-free; safe from any worker.  Mutates only pi.ct_state and
+  /// counts its own lookup into stats().
+  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
 
-  /// Single-packet pre-stage: counts its own lookup into stats().
-  Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms) {
-    LookupTally tally;
-    const Hit hit = pre(pkt, pi, now_ms, tally);
-    count_lookups(tally);
-    return hit;
-  }
-
-  /// Adds a tally's counts to stats().
-  void count_lookups(const LookupTally& tally);
+  /// Burst pre-stage: the same outcome as n pre() calls in order, with the
+  /// lookups' cache misses overlapped.  Hint passes over each window of up to
+  /// 32 packets prefetch the bucket words, then the first chain links, then
+  /// the entries' key lines; the packets are then resolved in order, each
+  /// re-loading its bucket head so a commit made by packet i (auto_commit)
+  /// is seen by packet j > i.  Lookups are counted once per
+  /// call.  Same thread-safety as pre().
+  void pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
+                 uint64_t now_ms, Hit* hits);
 
   /// Post-stage: commit if requested (or auto_commit) and the pre-stage
   /// missed, then apply the entry's NAT rewrite to the packet (checksums
@@ -187,6 +178,7 @@ class Conntrack {
   static constexpr uint32_t kWheelShift = 10;  // ~1s granularity
   static constexpr uint32_t kPollBudget = 128;
   static constexpr uint32_t kEvictProbes = 64;
+  static constexpr uint32_t kBurstWindow = 32;  // pre_burst hint-pass span
 
   struct alignas(64) Shard {
     std::mutex lock;
@@ -197,6 +189,12 @@ class Conntrack {
 
   uint32_t bucket_of(uint64_t h) const { return static_cast<uint32_t>(h) & bucket_mask_; }
   uint32_t shard_of(uint32_t bucket) const { return bucket >> shard_shift_; }
+
+  /// pre()'s work once the tuple is extracted: chain walk from a fresh
+  /// bucket-head load, TCP transition, stamps, auto-commit.  True on a hit.
+  bool resolve(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t h, uint64_t now_ms,
+               Hit& hit);
+  void count_lookups(uint64_t lookups, uint64_t hits);
 
   uint64_t timeout_ms(const Entry& e) const;
   uint32_t state_bits(const Entry& e, uint8_t dir) const;

@@ -446,6 +446,169 @@ TEST(CtParity, LbJitVsInterpreter) {
   expect_parity(uc::make_ct_lb(4), 256, 2048, seed);
 }
 
+// --- burst pre-stage ----------------------------------------------------------
+
+// Feeds `trace` to two tables: one through pre_burst over ragged chunks (a
+// trace of up to 32 packets is one chunk; one chunk is longer than a hint
+// window), the other through one scalar pre() per
+// packet.  Both must stamp the same ct_state, return the same Hit shape and
+// end with the same counters.  Returns the burst side's stamps.
+std::vector<uint32_t> expect_burst_parity(const CtConfig& cfg,
+                                          const std::vector<net::Packet>& trace) {
+  CtHarness scalar(cfg);
+  CtHarness burst(cfg);
+  const size_t n = trace.size();
+  const uint64_t now = scalar.ct.now_ms();
+
+  std::vector<proto::ParseInfo> spi(n);
+  std::vector<Conntrack::Hit> shit(n);
+  for (size_t i = 0; i < n; ++i) {
+    spi[i] = test::parse_packet(trace[i]);
+    shit[i] = scalar.ct.pre(trace[i].data(), spi[i], now);
+  }
+
+  std::vector<proto::ParseInfo> bpi(n);
+  std::vector<Conntrack::Hit> bhit(n);
+  std::vector<const uint8_t*> frames(n);
+  for (size_t i = 0; i < n; ++i) {
+    bpi[i] = test::parse_packet(trace[i]);
+    frames[i] = trace[i].data();
+  }
+  constexpr size_t kLens[] = {32, 1, 77, 31};
+  for (size_t done = 0, k = 0; done < n; ++k) {
+    const size_t len = std::min(kLens[k % 4], n - done);
+    burst.ct.pre_burst(frames.data() + done, bpi.data() + done, static_cast<uint32_t>(len),
+                       now, bhit.data() + done);
+    done += len;
+  }
+
+  std::vector<uint32_t> states(n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bpi[i].ct_state, spi[i].ct_state) << "packet " << i;
+    EXPECT_EQ(bhit[i].entry != nullptr, shit[i].entry != nullptr) << "packet " << i;
+    EXPECT_EQ(bhit[i].dir, shit[i].dir) << "packet " << i;
+    EXPECT_EQ(bhit[i].tuple_valid, shit[i].tuple_valid) << "packet " << i;
+    EXPECT_EQ(bhit[i].tuple, shit[i].tuple) << "packet " << i;
+    states[i] = bpi[i].ct_state;
+  }
+  const Conntrack::Stats a = scalar.ct.stats();
+  const Conntrack::Stats b = burst.ct.stats();
+  EXPECT_EQ(b.lookups, a.lookups);
+  EXPECT_EQ(b.hits, a.hits);
+  EXPECT_EQ(b.misses, a.misses);
+  EXPECT_EQ(b.commits, a.commits);
+  EXPECT_EQ(b.commit_drops, a.commit_drops);
+  EXPECT_EQ(b.evictions_forced, a.evictions_forced);
+  EXPECT_EQ(b.live, a.live);
+  return states;
+}
+
+CtConfig burst_cfg(bool auto_commit) {
+  CtConfig cfg = CtHarness::manual_cfg();
+  cfg.auto_commit = auto_commit;
+  return cfg;
+}
+
+// A seeded stream over a small connection pool, so tuples repeat inside a
+// chunk: both directions, every TCP flag step, UDP, ICMP and untracked ARP.
+TEST(CtBurst, SeededStreamMatchesScalarPre) {
+  const uint64_t seed = testing::test_seed(0xC7B0, "CtBurst.SeededStream");
+  Rng rng(seed);
+  constexpr uint8_t kFlags[] = {
+      proto::kTcpFlagSyn, proto::kTcpFlagSyn | proto::kTcpFlagAck, proto::kTcpFlagAck,
+      proto::kTcpFlagFin | proto::kTcpFlagAck, proto::kTcpFlagRst};
+  proto::PacketSpec arp;
+  arp.kind = proto::PacketKind::kArp;
+  std::vector<net::Packet> trace;
+  for (size_t i = 0; i < 1500; ++i) {
+    const uint32_t conn = static_cast<uint32_t>(rng.below(48));
+    const bool reply = rng.below(3) == 0;
+    const uint32_t a = kClient + conn, b = kServer;
+    const uint16_t pa = static_cast<uint16_t>(40000 + conn), pb = 443;
+    proto::PacketSpec spec;
+    switch (rng.below(8)) {
+      case 0:
+        spec = arp;
+        break;
+      case 1:
+      case 2:
+        spec = reply ? test::udp_spec(b, a, pb, pa) : test::udp_spec(a, b, pa, pb);
+        break;
+      case 3:
+        spec.kind = proto::PacketKind::kIcmp;
+        spec.ip_src = reply ? b : a;
+        spec.ip_dst = reply ? a : b;
+        break;
+      default: {
+        const uint8_t flags = kFlags[rng.below(sizeof kFlags)];
+        spec = reply ? tcp_with_flags(b, a, pb, pa, flags) : tcp_with_flags(a, b, pa, pb, flags);
+      }
+    }
+    trace.push_back(make_packet(spec));
+  }
+  for (const bool auto_commit : {false, true}) {
+    SCOPED_TRACE(auto_commit ? "auto_commit on" : "auto_commit off");
+    expect_burst_parity(burst_cfg(auto_commit), trace);
+  }
+}
+
+// Packet j of a chunk must see the entry packet i < j committed: the
+// resolution pass re-loads every bucket head instead of reusing the hint
+// pass's, which was read before the commit.
+TEST(CtBurst, SameTupleTwiceInOneChunk) {
+  const std::vector<net::Packet> trace = {
+      make_packet(test::udp_spec(kClient, kServer, 5000, 53)),
+      make_packet(test::udp_spec(kClient, kServer, 5000, 53))};
+  const auto on = expect_burst_parity(burst_cfg(true), trace);
+  EXPECT_EQ(on[0], kCtTracked | kCtNew);
+  EXPECT_EQ(on[1], kCtTracked | kCtEstablished);
+  const auto off = expect_burst_parity(burst_cfg(false), trace);
+  EXPECT_EQ(off[0], kCtTracked | kCtNew);
+  EXPECT_EQ(off[1], kCtTracked | kCtNew);
+}
+
+// The reply finds the SYN's auto-committed entry through the other bucket.
+TEST(CtBurst, SynAndSynAckInOneChunk) {
+  const std::vector<net::Packet> trace = {
+      make_packet(tcp_with_flags(kClient, kServer, 40000, 443, proto::kTcpFlagSyn)),
+      make_packet(tcp_with_flags(kServer, kClient, 443, 40000,
+                                 proto::kTcpFlagSyn | proto::kTcpFlagAck))};
+  const auto on = expect_burst_parity(burst_cfg(true), trace);
+  EXPECT_EQ(on[0], kCtTracked | kCtNew);
+  EXPECT_EQ(on[1], kCtTracked | kCtEstablished | kCtNew | kCtReply);
+  const auto off = expect_burst_parity(burst_cfg(false), trace);
+  EXPECT_EQ(off[1], kCtTracked | kCtNew);
+}
+
+// ARP carries no tuple: stamped 0, no lookup counted, neighbours unaffected.
+TEST(CtBurst, UntrackedArpFrames) {
+  proto::PacketSpec arp;
+  arp.kind = proto::PacketKind::kArp;
+  const std::vector<net::Packet> trace = {
+      make_packet(arp), make_packet(test::udp_spec(kClient, kServer, 5000, 53)),
+      make_packet(arp), make_packet(test::udp_spec(kServer, kClient, 53, 5000))};
+  const auto states = expect_burst_parity(burst_cfg(true), trace);
+  EXPECT_EQ(states[0], 0u);
+  EXPECT_EQ(states[2], 0u);
+  EXPECT_EQ(states[3], kCtTracked | kCtEstablished | kCtReply);
+
+  CtHarness h(burst_cfg(true));
+  std::vector<proto::ParseInfo> pis;
+  std::vector<const uint8_t*> frames;
+  for (const net::Packet& p : trace) {
+    pis.push_back(test::parse_packet(p));
+    frames.push_back(p.data());
+  }
+  Conntrack::Hit hits[4];
+  h.ct.pre_burst(frames.data(), pis.data(), 4, h.ct.now_ms(), hits);
+  EXPECT_FALSE(hits[0].tuple_valid);
+  EXPECT_EQ(hits[0].entry, nullptr);
+  const Conntrack::Stats s = h.ct.stats();
+  EXPECT_EQ(s.lookups, 2u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+}
+
 // --- lookup accounting ---------------------------------------------------------
 
 // The burst path tallies ct lookups per chunk and flushes once; the scalar

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/memtrace.hpp"
+#include "core/eswitch.hpp"
 #include "perf/cachesim.hpp"
 #include "perf/costmodel.hpp"
 #include "perf/replay.hpp"
@@ -104,6 +109,52 @@ TEST(Replay, CountsLlcMisses) {
   EXPECT_LT(good.llc_misses_per_pkt, 0.01);
   EXPECT_GT(good.l1_hit_fraction, 0.99);
   EXPECT_LT(good.est_cycles_per_pkt, bad.est_cycles_per_pkt);
+}
+
+TEST(MemTraceModel, TouchBlockChargesWholeLinesAtAnyOffset) {
+  alignas(64) static uint8_t buf[512];
+  for (size_t off = 0; off < 64; ++off) {
+    MemTrace t;
+    t.touch_block(buf + off, 40);
+    t.touch_block(buf + 128 + off, 72);
+    t.touch_block(buf + 256 + off, 128);
+    EXPECT_EQ(t.lines().size(), 1u + 2u + 2u) << "offset " << off;
+  }
+}
+
+// The traced working set of a lookup is a property of the table, not of where
+// the allocator put it: the same direct-code table, built after different
+// amounts of heap padding, must report the same line count.
+TEST(MemTraceModel, DirectCodeLinesIndependentOfHeapPlacement) {
+  flow::Pipeline pl;
+  for (const char* rule :
+       {"priority=40, ip_src=10.0.0.1, udp_dst=53, actions=output:2",
+        "priority=30, ip_src=10.0.0.2, udp_dst=53, actions=output:3",
+        "priority=20, ip_src=10.0.0.3, udp_src=7, udp_dst=80, actions=output:4",
+        "priority=10, udp_dst=9, actions=output:5"})
+    pl.table(0).add(flow::parse_rule(rule));
+  core::CompilerConfig cfg;
+  cfg.enable_fusion = false;
+  // Every switch stays alive, so no build reuses a freed predecessor's blocks.
+  std::vector<std::unique_ptr<core::Eswitch>> switches;
+  std::vector<std::unique_ptr<uint8_t[]>> pads;
+  std::vector<size_t> lines;
+  for (size_t k = 0; k < 12; ++k) {
+    pads.push_back(std::make_unique<uint8_t[]>(8 + 16 * k));
+    switches.push_back(std::make_unique<core::Eswitch>(cfg));
+    core::Eswitch& sw = *switches.back();
+    sw.install(pl);
+    ASSERT_EQ(sw.table_template(0), core::TableTemplate::kDirectCode);
+    MemTrace mt;
+    for (uint32_t i = 0; i < 12; ++i) {
+      net::Packet p = test::make_packet(
+          test::udp_spec(0x0A000001u + i % 4, 2, 7, static_cast<uint16_t>(i % 2 ? 9 : 80)), 1);
+      sw.process(p, &mt);
+    }
+    lines.push_back(mt.lines().size());
+  }
+  for (size_t k = 1; k < lines.size(); ++k)
+    EXPECT_EQ(lines[k], lines[0]) << "after " << k << " padding allocations";
 }
 
 }  // namespace

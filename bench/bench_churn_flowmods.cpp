@@ -2,17 +2,17 @@
 // core::SwitchRuntime with concurrent packet workers, while the control
 // thread streams flow-mod *batches* through apply_batch_partial — the
 // OfAgent ingestion path — at a target rate from 0 (baseline) to 100k
-// mods/s.  The L2 table is sized past cuckoo_min_entries so the churn lands
-// on the resizable cuckoo template: every add/delete rides the in-place
+// mods/s.  The L2 table is on the compound-hash template, whose resizable
+// cuckoo index takes the churn in place: every add/delete rides the
 // single-slot path plus one fusion refresh and one epoch reclaim per batch,
 // which is what makes 100k mods/s sustainable at all.
 //
 // Reported per point: aggregate `pps` and per-worker `pps_w<i>` (the CI
 // gate checks the 100k point keeps >= 0.7x the unchurned baseline),
 // `churn_target` vs achieved `churn_mods_per_s`, `batch_size`, a `cuckoo`
-// marker (1 = table 0 really runs the cuckoo template), and the merged
-// per-worker latency percentile block — p99/p99.9 under sustained batched
-// update load is the point of the curve.
+// marker (1 = table 0 really runs the in-place, cuckoo-backed compound
+// hash), and the merged per-worker latency percentile block — p99/p99.9
+// under sustained batched update load is the point of the curve.
 //
 // Knobs: ESW_CHURN_WARMUP_MS / MEASURE_MS / WORKERS / TABLE / BATCH.
 #include <benchmark/benchmark.h>
@@ -140,7 +140,7 @@ ChurnPoint run_point(const uc::UseCase& uc, size_t table_size, int workers,
   }
   pt.mods_per_s = static_cast<double>(mods) / dt;
   pt.refused = refused;
-  pt.cuckoo = rt.backend().table_template(0) == core::TableTemplate::kCuckooHash;
+  pt.cuckoo = rt.backend().table_template(0) == core::TableTemplate::kCompoundHash;
   pt.latency = rt.latency_histogram();
   rt.stop();
   return pt;

@@ -2,7 +2,8 @@
 // flow entries, for the direct code / compound hash / linked list templates
 // on the paper's synthetic table (vlan_vid=3, ip_src=10.0.0.3, ip_proto=17,
 // udp_dst=N).  The crossover calibrates the direct-code fallback constant
-// (the paper fixes it at 4).
+// (the paper fixes it at 4).  The compound-hash points measure the
+// template as built here: exact match on a cls::CuckooTable index.
 //
 // Also serves as the keys-in-code ablation: "direct-interp" executes the same
 // lowered entries from data memory instead of specialized machine code.

@@ -19,7 +19,6 @@ uint32_t round_pow2(uint32_t v) {
 CuckooTable::CuckooTable(const Config& cfg) : cfg_(cfg), salt_(cfg.salt) {
   cfg_.initial_buckets = round_pow2(cfg_.initial_buckets == 0 ? 4 : cfg_.initial_buckets);
   if (cfg_.max_kicks == 0) cfg_.max_kicks = 1;
-  kick_undo_.reserve(cfg_.max_kicks);
   front_.store(new View(cfg_.initial_buckets, next_salt()), std::memory_order_release);
 }
 
@@ -358,7 +357,9 @@ std::optional<CuckooTable::Value> CuckooTable::lookup(const uint8_t* key,
                             back_.load(std::memory_order_acquire)};
     for (const View* v : views) {
       if (v == nullptr) continue;
-      const uint32_t buckets[2] = {bucket1(v, h), bucket2(v, h)};
+      const uint64_t hs = mix64(h ^ v->salt);  // bucket1/bucket2 in one mix
+      const uint32_t buckets[2] = {static_cast<uint32_t>(hs) & v->mask,
+                                   static_cast<uint32_t>(hs >> 32) & v->mask};
       for (uint32_t b : buckets) {
         const size_t base = static_cast<size_t>(b) * kSlotsPerBucket;
         if (trace != nullptr)

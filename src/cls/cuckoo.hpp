@@ -1,13 +1,12 @@
 // Resizable, reader-safe bucketized cuckoo hash over byte-string keys — the
-// engine behind the million-flow *cuckoo hash* template.
+// switch's one exact-match structure: it backs the *compound hash* template
+// and every tuple of the tuple space.
 //
-// The fixed-capacity ExactMatchTable rebuilds (and, under workers, is cloned
-// and republished wholesale) whenever it grows; at 1M+ entries that clone
-// dominates update cost.  This table instead follows the shared-memory cuckoo
-// map design (tasvir's CuckooMap, SNIPPETS.md Snippet 1): 4-way buckets whose
-// slots are single atomic words packing a 48-bit entry pointer with a 16-bit
-// tag, so one control-plane writer mutates *in place* while packet workers
-// read concurrently.
+// It follows the shared-memory cuckoo map design (tasvir's CuckooMap,
+// SNIPPETS.md Snippet 1): 4-way buckets whose slots are single atomic words
+// packing a 48-bit entry pointer with a 16-bit tag, so one control-plane
+// writer mutates *in place* while packet workers read concurrently — an
+// update never copies the table, at any size.
 //
 // Reader safety rests on three rules:
 //   * entries are immutable heap blobs published/retired through the owning

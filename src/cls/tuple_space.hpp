@@ -2,7 +2,8 @@
 // the paper's *linked list* template and the OVS-model megaflow cache.
 //
 // Entries are grouped into tuples by their exact mask signature; each tuple
-// indexes its entries with an exact-match hash over the masked key.  Lookup
+// indexes its entries with a cls::CuckooTable over the masked key, started at
+// the table's minimum size and grown as entries arrive.  Lookup
 // scans tuples best-rank-first with early exit (OVS's "tuple priority
 // sorting") and can report which tuples were visited — the information a
 // flow-caching switch turns into megaflow wildcards (§2.2: fields "that
@@ -22,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "cls/exact_match.hpp"
+#include "cls/cuckoo.hpp"
 #include "common/check.hpp"
 #include "common/memtrace.hpp"
 #include "flow/match.hpp"
@@ -44,21 +45,6 @@ class TupleSpace {
     Value value;
   };
 
-  TupleSpace() = default;
-  /// Deep copy — the copy-on-write update path clones the classifier, mutates
-  /// the clone and publishes it, leaving the source (still visible to
-  /// concurrent readers) untouched.
-  TupleSpace(const TupleSpace& other) : size_(other.size_) {
-    tuples_.reserve(other.tuples_.size());
-    for (const auto& tp : other.tuples_) tuples_.push_back(std::make_unique<Tuple>(*tp));
-  }
-  TupleSpace& operator=(const TupleSpace& other) {
-    if (this != &other) *this = TupleSpace(other);
-    return *this;
-  }
-  TupleSpace(TupleSpace&&) noexcept = default;
-  TupleSpace& operator=(TupleSpace&&) noexcept = default;
-
   /// Adds an entry.  (match, rank) pairs must be unique.
   void add(const flow::Match& match, uint32_t rank, Value value) {
     Tuple* t = find_tuple(match);
@@ -79,10 +65,10 @@ class TupleSpace {
 
     // Insert into the per-key chain, kept sorted by rank ascending.
     int32_t head = -1;
-    if (auto found = t->index.lookup(key, key_len)) head = static_cast<int32_t>(*found);
+    if (auto found = t->index.lookup(key, key_len)) head = static_cast<int32_t>(found->value);
     if (head < 0 || t->entries[head].rank > rank) {
       t->next[slot] = head;
-      t->index.insert(key, key_len, static_cast<uint32_t>(slot));
+      t->index.insert(key, key_len, static_cast<uint64_t>(slot));
     } else {
       int32_t prev = head;
       while (t->next[prev] >= 0 && t->entries[t->next[prev]].rank < rank)
@@ -105,7 +91,7 @@ class TupleSpace {
     auto found = t->index.lookup(key, key_len);
     if (!found) return false;
 
-    int32_t cur = static_cast<int32_t>(*found);
+    int32_t cur = static_cast<int32_t>(found->value);
     int32_t prev = -1;
     while (cur >= 0 && t->entries[cur].rank != rank) {
       prev = cur;
@@ -114,7 +100,7 @@ class TupleSpace {
     if (cur < 0) return false;
     if (prev < 0) {
       if (t->next[cur] >= 0)
-        t->index.insert(key, key_len, static_cast<uint32_t>(t->next[cur]));
+        t->index.insert(key, key_len, static_cast<uint64_t>(t->next[cur]));
       else
         t->index.erase(key, key_len);
     } else {
@@ -153,7 +139,7 @@ class TupleSpace {
       const uint32_t key_len = key_from_packet(t, pkt, pi, key);
       const auto found = t.index.lookup(key, key_len, trace);
       if (!found) continue;
-      const Entry& e = t.entries[*found];  // chain head = lowest rank
+      const Entry& e = t.entries[found->value];  // chain head = lowest rank
       if (trace) trace->touch(&e, sizeof(Entry));
       if (best == nullptr || e.rank < best->rank) best = &e;
     }
@@ -197,7 +183,7 @@ class TupleSpace {
     std::array<uint64_t, flow::kNumFields> masks{};
     uint32_t proto_required = 0;
     uint32_t min_rank = 0xFFFFFFFF;
-    ExactMatchTable index;
+    CuckooTable index{CuckooTable::Config{.initial_buckets = 1}};
     std::vector<Entry> entries;
     std::vector<int32_t> next;
     std::vector<bool> slot_live;

@@ -77,7 +77,7 @@ class EpochDomain {
   }
 
   /// True when at least one packet worker is registered — the signal the
-  /// update path uses to choose copy-on-write publication over in-place
+  /// update path uses to choose rebuild-and-swap publication over in-place
   /// mutation of reader-visible structures.
   bool has_workers() const { return n_active_.load(std::memory_order_acquire) > 0; }
 

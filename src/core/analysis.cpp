@@ -124,17 +124,20 @@ bool range_prerequisite(const AnalysisEntries& entries, flow::FieldId* field_out
 
 AnalysisResult analyze_entries(const AnalysisEntries& entries,
                                const CompilerConfig& cfg) {
-  if (cfg.force_template.has_value()) return {*cfg.force_template, "forced by config"};
+  if (cfg.force_template.has_value()) {
+    // kCuckooHash is retired: the compound hash is cuckoo-backed, and a
+    // repro artifact that forces the old value gets the template it names.
+    const TableTemplate forced = *cfg.force_template == TableTemplate::kCuckooHash
+                                     ? TableTemplate::kCompoundHash
+                                     : *cfg.force_template;
+    return {forced, "forced by config"};
+  }
 
   if (entries.size() <= cfg.direct_code_max_entries)
     return {TableTemplate::kDirectCode,
             "table small enough to compile rules straight to code"};
-  if (hash_prerequisite(entries, nullptr, nullptr)) {
-    if (cfg.cuckoo_min_entries != 0 && entries.size() >= cfg.cuckoo_min_entries)
-      return {TableTemplate::kCuckooHash,
-              "global mask at million-flow scale: resizable cuckoo exact match"};
+  if (hash_prerequisite(entries, nullptr, nullptr))
     return {TableTemplate::kCompoundHash, "global mask, exact match under mask"};
-  }
   if (lpm_prerequisite(entries, nullptr))
     return {TableTemplate::kLpm, "single-field prefix rules, priority-consistent"};
   if (cfg.enable_range_template && range_prerequisite(entries, nullptr))

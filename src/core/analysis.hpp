@@ -35,13 +35,6 @@ struct CompilerConfig {
   std::optional<TableTemplate> force_template;
   /// tbl8 budget for LPM tables.
   uint32_t lpm_max_tbl8_groups = 1024;
-  /// Hash-shaped tables at or above this entry count compile into the
-  /// resizable reader-safe cuckoo template instead of the fixed-capacity
-  /// compound hash (and a compound-hash table growing past it re-selects on
-  /// its next rebuild).  0 disables the cuckoo template.  The default sits
-  /// above every figure-scale table so the calibrated benches keep the
-  /// paper's compound hash; the million-flow scale/churn benches cross it.
-  uint32_t cuckoo_min_entries = 32768;
   /// Enable the range extension template (binary search over flattened
   /// intervals) for single-field tables LPM cannot take.
   bool enable_range_template = true;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cls/cuckoo.hpp"
-#include "cls/exact_match.hpp"
 #include "cls/lpm.hpp"
 #include "cls/range_tree.hpp"
 #include "cls/tuple_space.hpp"
@@ -71,21 +70,16 @@ class CompiledTable {
   virtual bool try_remove(const flow::Match&, uint16_t) { return false; }
 
   /// True when try_add/try_remove may mutate this table *in place* while
-  /// other threads are inside lookup() (single writer).  Only the LPM
-  /// template qualifies: its cells are self-contained words published with
-  /// release/acquire, the rte_lpm-under-RCU model.
+  /// other threads are inside lookup() (single writer).  The LPM template
+  /// (self-contained cells published with release/acquire, the
+  /// rte_lpm-under-RCU model) and the compound hash (atomic cuckoo slot
+  /// words) qualify.  With workers registered, every other template's
+  /// update is a rebuild published with a trampoline swap.
   virtual bool concurrent_update_safe() const { return false; }
 
-  /// Deep copy for the copy-on-write update path: with concurrent readers,
-  /// templates whose incremental update mutates reader-visible structure
-  /// (hash rebuilds, tuple-space chains) are cloned, updated privately and
-  /// republished via trampoline swap — same incremental data-structure work
-  /// as in place, plus an O(table) copy.  nullptr = not clonable (direct
-  /// code and range rebuild from scratch anyway).
-  virtual std::unique_ptr<CompiledTable> clone_for_update() const { return nullptr; }
-
   /// Epoch-reclamation hooks for templates that retire *internal* memory
-  /// (cuckoo entries/views) rather than being swapped wholesale.  The
+  /// (the compound hash's cuckoo entries/views) rather than being swapped
+  /// wholesale.  The
   /// datapath attaches its domain at publication and drains the template's
   /// retire lists during its reclaim pass; defaults are no-ops.
   virtual void attach_epoch_domain(common::EpochDomain*) {}
@@ -123,59 +117,12 @@ class DirectCodeTable final : public CompiledTable {
 
 // --- compound hash -------------------------------------------------------------
 
-class HashTemplateTable final : public CompiledTable {
- public:
-  /// `mask_template` is the shared mask set (values zeroed).  Entries must
-  /// satisfy the hash prerequisite (checked by analysis; re-verified here).
-  static std::unique_ptr<HashTemplateTable> build(const std::vector<BuildEntry>& entries,
-                                                  const flow::Match& mask_template,
-                                                  BuildCtx& ctx);
-
-  uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
-                  MemTrace* trace) const override;
-  void prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const override;
-  TableTemplate kind() const override { return TableTemplate::kCompoundHash; }
-  size_t size() const override { return count_; }
-  size_t memory_bytes() const override;
-
-  bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
-  bool try_remove(const flow::Match& m, uint16_t priority) override;
-  std::unique_ptr<CompiledTable> clone_for_update() const override {
-    return std::unique_ptr<CompiledTable>(new HashTemplateTable(*this));
-  }
-
-  uint64_t hash_rebuilds() const { return index_.rebuilds(); }
-
- private:
-  HashTemplateTable() = default;
-  HashTemplateTable(const HashTemplateTable&) = default;
-
-  uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;
-  uint32_t key_from_packet(const uint8_t* pkt, const proto::ParseInfo& pi,
-                           uint8_t* out) const;
-
-  std::vector<flow::FieldId> fields_;
-  std::vector<uint64_t> field_masks_;
-  uint32_t proto_required_ = 0;
-  cls::ExactMatchTable index_;
-  struct Stored {
-    uint64_t result;
-    uint16_t priority;
-  };
-  std::vector<Stored> stored_;
-  uint64_t catch_all_result_ = jit::kMissResult;
-  uint16_t catch_all_priority_ = 0;
-  bool has_catch_all_ = false;
-  uint16_t min_specific_priority_ = 0xFFFF;
-  size_t count_ = 0;
-};
-
-// --- cuckoo hash (million-flow exact match) ----------------------------------------
-
-/// Same matching semantics and prerequisite as the compound hash, backed by
-/// the resizable reader-safe cls::CuckooTable: one control-plane writer
-/// mutates in place under live readers (epoch-retired entries, seqlock-guarded
-/// displacement), so updates at million-flow scale never clone the table.
+/// The compound-hash template (§3.1): exact match under the table's global
+/// mask, backed by the resizable reader-safe cls::CuckooTable.  One
+/// control-plane writer mutates it in place under live readers
+/// (epoch-retired entries, seqlock-guarded displacement), so an update never
+/// copies the table.  The index is sized from the entry count at build and
+/// grows incrementally from there.
 class CuckooTemplateTable final : public CompiledTable {
  public:
   static std::unique_ptr<CuckooTemplateTable> build(
@@ -185,7 +132,7 @@ class CuckooTemplateTable final : public CompiledTable {
   uint64_t lookup(const uint8_t* pkt, const proto::ParseInfo& pi,
                   MemTrace* trace) const override;
   void prefetch(const uint8_t* pkt, const proto::ParseInfo& pi) const override;
-  TableTemplate kind() const override { return TableTemplate::kCuckooHash; }
+  TableTemplate kind() const override { return TableTemplate::kCompoundHash; }
   size_t size() const override { return count_; }
   size_t memory_bytes() const override;
 
@@ -201,12 +148,8 @@ class CuckooTemplateTable final : public CompiledTable {
   }
   size_t retired_pending() const override { return index_.retired_pending(); }
 
-  uint64_t grows() const { return index_.grows(); }
-  uint64_t reseeds() const { return index_.reseeds(); }
-  const cls::CuckooTable& index() const { return index_; }
-
  private:
-  CuckooTemplateTable() = default;
+  explicit CuckooTemplateTable(const cls::CuckooTable::Config& cfg) : index_(cfg) {}
 
   uint32_t key_from_match(const flow::Match& m, uint8_t* out) const;
   uint32_t key_from_packet(const uint8_t* pkt, const proto::ParseInfo& pi,
@@ -317,17 +260,15 @@ class LinkedListTable final : public CompiledTable {
   size_t size() const override { return ts_.size(); }
   size_t memory_bytes() const override;
 
+  /// In place only while no worker is registered: tuple chains and entry
+  /// vectors are not reader-safe, so under workers the caller rebuilds.
   bool try_add(const flow::FlowEntry& e, BuildCtx& ctx) override;
   bool try_remove(const flow::Match& m, uint16_t priority) override;
-  std::unique_ptr<CompiledTable> clone_for_update() const override {
-    return std::unique_ptr<CompiledTable>(new LinkedListTable(*this));
-  }
 
   size_t num_tuples() const { return ts_.num_tuples(); }
 
  private:
   LinkedListTable() = default;
-  LinkedListTable(const LinkedListTable&) = default;
 
   uint32_t rank_of(uint16_t priority) {
     return (static_cast<uint32_t>(0xFFFF - priority) << 16) | seq_++;

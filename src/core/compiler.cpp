@@ -20,7 +20,6 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
   FieldId range_field = FieldId::kCount;
   switch (ar.chosen) {
     case TableTemplate::kCompoundHash:
-    case TableTemplate::kCuckooHash:  // same prerequisite as the compound hash
       if (!hash_prerequisite(entries, &mask_template, &has_catch_all))
         ar.chosen = TableTemplate::kLinkedList;
       break;
@@ -43,9 +42,6 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
         impl = DirectCodeTable::build(entries, ctx, cfg.enable_jit);
         break;
       case TableTemplate::kCompoundHash:
-        impl = HashTemplateTable::build(entries, mask_template, ctx);
-        break;
-      case TableTemplate::kCuckooHash:
         impl = CuckooTemplateTable::build(entries, mask_template, ctx);
         break;
       case TableTemplate::kLpm:
@@ -55,6 +51,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
         impl = RangeTemplateTable::build(entries, range_field, ctx);
         break;
       case TableTemplate::kLinkedList:
+      default:  // kCuckooHash: retired, analysis never chooses it
         impl = LinkedListTable::build(entries, ctx);
         break;
     }

@@ -65,7 +65,8 @@ struct FusionResult {
 /// fingerprint short-circuits to `unchanged` unless a wanted program is
 /// missing from it, and an identical direct-code member set (program_key)
 /// reuses the previous machine program instead of re-emitting — churn that
-/// only touched non-direct-code tables (hash clone-swaps, in-place LPM)
+/// only touched non-direct-code tables (linked-list rebuilds, in-place hash
+/// or LPM)
 /// republishes the plan without running the JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map,

@@ -325,9 +325,7 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   }
 
   // Parse the whole chunk, the next frame's header line in flight while the
-  // current one parses.  Then the conntrack pre-stage — ct_state must be
-  // stamped before any lookup can match it — over the whole chunk at once,
-  // so its connection lookups take their cache misses together.
+  // current one parses.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
   proto::ParseInfo pis[net::kBurstSize];
   const uint8_t* frames[net::kBurstSize];
@@ -337,7 +335,6 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
     proto::parse(frames[i], pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
   }
-  if (ESW_UNLIKELY(ct != nullptr)) ct->pre_burst(frames, pis, n, ct_now, ct_hits);
 
   // Per-stage stat deltas.  Every entry is zero between chunks; a stage's
   // first lookup in this chunk records it as touched, and only touched
@@ -360,115 +357,127 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   flow::ActionSetBuilder asb[net::kBurstSize];
   int32_t cur[net::kBurstSize];
   flow::Verdict vd[net::kBurstSize];
-  uint32_t live = n;
   std::fill_n(cur, n, 0);  // every walk starts at stage 0, the first table
-
-  // Round 0 runs the start stage with packet i+1's lookup lines in flight
-  // (software pipelining within the chunk).
   const FusedPipeline::Stage& ss = fp->stages[0];
-  if (ss.want_prefetch) ss.impl->prefetch(pkts[0]->data(), pis[0]);
 
-  // Round-based walk: every live packet advances at least one stage per
-  // round (transitions must go forward), so n_stages rounds finish every
-  // packet; anything still live after the clamp is dropped.
-  for (uint32_t round = 0; round <= n_stages && live > 0; ++round) {
-    for (uint32_t i = 0; i < n; ++i) {
-      const int32_t cs = cur[i];
-      if (cs < 0) continue;
-      if (round == 0 && i + 1 < n && ss.want_prefetch)
-        ss.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
-      net::Packet& pkt = *pkts[i];
-      proto::ParseInfo& pi = pis[i];
-      const FusedPipeline::Stage& s = fp->stages[cs];
-      int32_t ts;  // next stage
-      if (s.entry != nullptr) {
-        // Machine subgraph: runs fused members until the walk completes,
-        // misses, or exits toward a C++ stage.  The trace lists the action
-        // sets hit and the stages entered after this one, in walk order:
-        // every stage but the last one entered was a hit.
-        const uint64_t word = s.entry(pkt.data(), &pi, trace);
-        TableStats* d = &lookup_at(static_cast<uint32_t>(cs));
-        const uint32_t nw = jit::fused_exit_words(word);
-        for (uint32_t k = 0; k < nw; ++k) {
-          if (trace[k] & jit::kFusedEnterTag) {
-            ++d->hits;
-            d = &lookup_at(trace[k] & ~jit::kFusedEnterTag);
-          } else {
-            asb[i].merge(actions_.get(trace[k]));
+  // The chunk runs as one segment [lo, hi) unless the conntrack pre-stage
+  // ends a prefix early: a packet whose connection an earlier packet's
+  // post-stage may commit waits for that commit, as in scalar process().
+  for (uint32_t lo = 0, hi = 0; lo < n; lo = hi) {
+    // The conntrack pre-stage — ct_state must be stamped before any lookup can
+    // match it — over the segment at once, so its connection lookups take
+    // their cache misses together.
+    hi = ESW_UNLIKELY(ct != nullptr)
+             ? lo + ct->pre_burst(frames + lo, pis + lo, n - lo, ct_now, ct_hits + lo)
+             : n;
+    uint32_t live = hi - lo;
+
+    // Round 0 runs the start stage with packet i+1's lookup lines in flight
+    // (software pipelining within the segment).
+    if (ss.want_prefetch) ss.impl->prefetch(pkts[lo]->data(), pis[lo]);
+
+    // Round-based walk: every live packet advances at least one stage per
+    // round (transitions must go forward), so n_stages rounds finish every
+    // packet; anything still live after the clamp is dropped.
+    for (uint32_t round = 0; round <= n_stages && live > 0; ++round) {
+      for (uint32_t i = lo; i < hi; ++i) {
+        const int32_t cs = cur[i];
+        if (cs < 0) continue;
+        if (round == 0 && i + 1 < hi && ss.want_prefetch)
+          ss.impl->prefetch(pkts[i + 1]->data(), pis[i + 1]);
+        net::Packet& pkt = *pkts[i];
+        proto::ParseInfo& pi = pis[i];
+        const FusedPipeline::Stage& s = fp->stages[cs];
+        int32_t ts;  // next stage
+        if (s.entry != nullptr) {
+          // Machine subgraph: runs fused members until the walk completes,
+          // misses, or exits toward a C++ stage.  The trace lists the action
+          // sets hit and the stages entered after this one, in walk order:
+          // every stage but the last one entered was a hit.
+          const uint64_t word = s.entry(pkt.data(), &pi, trace);
+          TableStats* d = &lookup_at(static_cast<uint32_t>(cs));
+          const uint32_t nw = jit::fused_exit_words(word);
+          for (uint32_t k = 0; k < nw; ++k) {
+            if (trace[k] & jit::kFusedEnterTag) {
+              ++d->hits;
+              d = &lookup_at(trace[k] & ~jit::kFusedEnterTag);
+            } else {
+              asb[i].merge(actions_.get(trace[k]));
+            }
           }
+          if (word & jit::kFusedMiss) {
+            ++d->misses;
+            vd[i] = fp->stages[jit::fused_exit_stage(word)].miss ==
+                            flow::FlowTable::MissPolicy::kController
+                        ? flow::Verdict::controller()
+                        : flow::Verdict::drop();
+            cur[i] = -2;
+            --live;
+            continue;
+          }
+          ++d->hits;
+          if (word & jit::kFusedCompleted) {
+            cur[i] = -1;
+            --live;
+            continue;
+          }
+          ts = static_cast<int32_t>(jit::fused_exit_stage(word));
+        } else {
+          // C++ stage: pinned impl, packed-result decode.
+          TableStats& d = lookup_at(static_cast<uint32_t>(cs));
+          const uint64_t r = s.impl->lookup(pkt.data(), pi);
+          if (ESW_UNLIKELY(r == jit::kMissResult)) {
+            ++d.misses;
+            vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
+                        ? flow::Verdict::controller()
+                        : flow::Verdict::drop();
+            cur[i] = -2;
+            --live;
+            continue;
+          }
+          ++d.hits;
+          int32_t action = -1, next = -1;
+          jit::unpack_result(r, action, next);
+          if (action >= 0) asb[i].merge(actions_.get(static_cast<uint32_t>(action)));
+          if (next < 0) {
+            cur[i] = -1;
+            --live;
+            continue;
+          }
+          ts = static_cast<size_t>(next) < fp->stage_of_slot.size()
+                   ? fp->stage_of_slot[next]
+                   : -1;
         }
-        if (word & jit::kFusedMiss) {
-          ++d->misses;
-          vd[i] = fp->stages[jit::fused_exit_stage(word)].miss ==
-                          flow::FlowTable::MissPolicy::kController
-                      ? flow::Verdict::controller()
-                      : flow::Verdict::drop();
+        if (ESW_UNLIKELY(ts <= cs || static_cast<uint32_t>(ts) >= n_stages)) {
+          vd[i] = flow::Verdict::drop();  // unresolvable/backward: guard drop
           cur[i] = -2;
           --live;
           continue;
         }
-        ++d->hits;
-        if (word & jit::kFusedCompleted) {
-          cur[i] = -1;
-          --live;
-          continue;
-        }
-        ts = static_cast<int32_t>(jit::fused_exit_stage(word));
-      } else {
-        // C++ stage: pinned impl, packed-result decode.
-        TableStats& d = lookup_at(static_cast<uint32_t>(cs));
-        const uint64_t r = s.impl->lookup(pkt.data(), pi);
-        if (ESW_UNLIKELY(r == jit::kMissResult)) {
-          ++d.misses;
-          vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
-                      ? flow::Verdict::controller()
-                      : flow::Verdict::drop();
-          cur[i] = -2;
-          --live;
-          continue;
-        }
-        ++d.hits;
-        int32_t action = -1, next = -1;
-        jit::unpack_result(r, action, next);
-        if (action >= 0) asb[i].merge(actions_.get(static_cast<uint32_t>(action)));
-        if (next < 0) {
-          cur[i] = -1;
-          --live;
-          continue;
-        }
-        ts = static_cast<size_t>(next) < fp->stage_of_slot.size()
-                 ? fp->stage_of_slot[next]
-                 : -1;
+        // Transition: issue the next stage's lookup prefetch now, consume it
+        // next round — the cross-table extension of the one-ahead pipelining.
+        const FusedPipeline::Stage& nx = fp->stages[ts];
+        if (nx.want_prefetch) nx.impl->prefetch(pkt.data(), pi);
+        cur[i] = ts;
       }
-      if (ESW_UNLIKELY(ts <= cs || static_cast<uint32_t>(ts) >= n_stages)) {
-        vd[i] = flow::Verdict::drop();  // unresolvable/backward: guard drop
-        cur[i] = -2;
-        --live;
-        continue;
-      }
-      // Transition: issue the next stage's lookup prefetch now, consume it
-      // next round — the cross-table extension of the one-ahead pipelining.
-      const FusedPipeline::Stage& nx = fp->stages[ts];
-      if (nx.want_prefetch) nx.impl->prefetch(pkt.data(), pi);
-      cur[i] = ts;
     }
-  }
 
-  // Finalize in packet order: conntrack post-stage + action execution for
-  // completed packets — the same ordering and side effects as n scalar
-  // process() calls, which finish packet i before touching packet i+1.
-  for (uint32_t i = 0; i < n; ++i) {
-    flow::Verdict v = flow::Verdict::drop();
-    if (cur[i] == -1) {
-      if (ESW_UNLIKELY(ct != nullptr))
-        ct->post(ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
-                 pkts[i]->data(), pis[i], ct_now);
-      v = asb[i].execute(*pkts[i], pis[i]);
-    } else if (cur[i] == -2) {
-      v = vd[i];
+    // Finalize in packet order: conntrack post-stage + action execution for
+    // completed packets — the same ordering and side effects as n scalar
+    // process() calls, which finish packet i before touching packet i+1.
+    for (uint32_t i = lo; i < hi; ++i) {
+      flow::Verdict v = flow::Verdict::drop();
+      if (cur[i] == -1) {
+        if (ESW_UNLIKELY(ct != nullptr))
+          ct->post(ct_hits[i], asb[i].ct_commit(), asb[i].ct_profile(),
+                   pkts[i]->data(), pis[i], ct_now);
+        v = asb[i].execute(*pkts[i], pis[i]);
+      } else if (cur[i] == -2) {
+        v = vd[i];
+      }
+      count_verdict(v, local);
+      out[i] = v;
     }
-    count_verdict(v, local);
-    out[i] = v;
   }
 
   // Flush the touched stages' deltas into their slots' shared counters.

@@ -69,7 +69,7 @@ struct FusedPipeline {
   /// be skipped.
   uint64_t fingerprint = 0;
   /// Identity of the direct-code member set only: when churn touched other
-  /// tables (e.g. a hash clone-swap) the previous plan's machine program is
+  /// tables (e.g. a linked-list rebuild) the previous plan's machine program is
   /// reused instead of re-emitted.
   uint64_t program_key = 0;
 };

@@ -4,7 +4,7 @@
 // datapath (the specialized machine-code realization), and keeps the two in
 // sync the way §3.4 prescribes:
 //   * templates supporting it are updated incrementally and non-destructively
-//     (compound hash, LPM, linked list);
+//     (compound hash, LPM, and the linked list while no worker is registered);
 //   * the direct-code template rebuilds unconditionally;
 //   * prerequisite violations rebuild the table under the next template in
 //     Fig. 4's fallback chain (via re-analysis);
@@ -15,11 +15,12 @@
 //
 // Concurrency: apply()/apply_batch() run on one control thread while any
 // number of registered packet workers process bursts.  While workers are
-// registered, incremental updates take one of two reader-safe shapes —
-// in place for templates that publish per-cell (LPM), or clone-update-swap
-// for the rest — and every displaced object is retired through the datapath's
-// epoch domain (freed only after all workers tick past the retirement; see
-// common/epoch.hpp).  install() is stop-the-world: no workers registered.
+// registered, an update takes one of two reader-safe shapes — in place for
+// templates that publish per word (LPM cells, compound-hash cuckoo slots), or
+// rebuild-and-swap for the rest (direct code, range, linked list) — and every
+// displaced object is retired through the datapath's epoch domain (freed only
+// after all workers tick past the retirement; see common/epoch.hpp).
+// install() is stop-the-world: no workers registered.
 //
 // Decomposed logical tables occupy a fixed root slot; a rebuild appends fresh
 // sub-table slots and swaps the root, so cross-table gotos stay valid.  The
@@ -130,14 +131,13 @@ class Eswitch {
   }
 
   struct UpdateStats {
-    uint64_t incremental = 0;     // served by try_add/try_remove (either shape)
-    uint64_t cow_swaps = 0;       // of which: clone-update-swap publications
+    uint64_t incremental = 0;     // served in place by try_add/try_remove
     uint64_t table_rebuilds = 0;  // side-by-side rebuild + trampoline swap
     // Rebuilds whose re-analysis picked a *different* template than the one
     // the table ran on — the table grew (or shrank) past its shape's sweet
-    // spot: exact-match hash → cuckoo at cuckoo_min_entries, small
-    // direct-code → hash past direct_code_max_entries, and every fallback
-    // demotion.  Wholesale install() recompiles are not re-selections.
+    // spot: small direct-code → hash past direct_code_max_entries, and every
+    // fallback demotion.  Wholesale install() recompiles are not
+    // re-selections.
     uint64_t template_reselections = 0;
     // Pipeline plans actually republished (set_fused with a new plan).  A
     // batch republishes at most once however many mods it carried; the
@@ -178,11 +178,6 @@ class Eswitch {
   CompiledDatapath::ReclaimStats reclaim_stats() const { return dp_.reclaim_stats(); }
 
  private:
-  /// Pending clone-and-swap copies during a batch: each touched table is
-  /// cloned once, mutated across the whole batch and published with a single
-  /// trampoline swap at commit — not K clones for K mods.
-  using CowMap = std::map<uint8_t, std::unique_ptr<CompiledTable>>;
-
   /// Logical tables whose datapath rebuild is deferred to the batch commit:
   /// each is rebuilt exactly once per batch from the final pipeline state,
   /// however many of the batch's mods touched it.  The mapped flag records
@@ -194,10 +189,9 @@ class Eswitch {
   void rebuild_logical(uint8_t id, bool fresh_table = false);
   void refresh_start_and_plan();
   void maybe_widen_plan(const flow::FlowEntry& e);
-  void apply_one(const flow::FlowMod& fm, CowMap* cow, DirtySet* dirty = nullptr);
-  bool try_incremental(uint8_t table, const flow::FlowMod& fm, CowMap* cow);
-  bool wants_reselection(uint8_t table) const;
-  void commit_batch(CowMap& cow, const DirtySet& dirty);
+  void apply_one(const flow::FlowMod& fm, DirtySet* dirty = nullptr);
+  bool try_incremental(uint8_t table, const flow::FlowMod& fm);
+  void commit_batch(const DirtySet& dirty);
   void apply_to_pipeline(flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void check_capacity(const flow::Pipeline& pl, const flow::FlowMod& fm) const;
   void note_jit_state(uint8_t id, bool degraded);

@@ -23,10 +23,6 @@ perf::CostModel derive_model(const Eswitch& sw, const std::vector<uint8_t>& path
       case TableTemplate::kCompoundHash:
         m.add_hash_stage(name + " (hash)");
         break;
-      case TableTemplate::kCuckooHash:
-        // Same probe shape as the compound hash: key hash + bucket walk.
-        m.add_hash_stage(name + " (cuckoo)");
-        break;
       case TableTemplate::kLpm:
         m.add_lpm_stage(name + " (lpm)");
         break;
@@ -45,6 +41,8 @@ perf::CostModel derive_model(const Eswitch& sw, const std::vector<uint8_t>& path
                                 static_cast<uint32_t>(ll->num_tuples()));
         break;
       }
+      default:  // kCuckooHash: retired, never built
+        break;
     }
   }
   m.add_action_stage();

@@ -8,9 +8,9 @@ namespace esw::core {
 
 enum class TableTemplate : uint8_t {
   kDirectCode,    // machine code assembled on-the-fly; any match; few entries
-  kCompoundHash,  // perfect-hash exact match under a global mask
-  kCuckooHash,    // resizable reader-safe cuckoo exact match (million-flow
-                  // variant of the compound hash; same prerequisite)
+  kCompoundHash,  // exact match under a global mask (cls::CuckooTable)
+  kCuckooHash,    // retired: never produced; kept so the enumerator values
+                  // (and repro artifacts that store them) stay stable
   kLpm,           // DIR-24-8 longest prefix match
   kRange,         // flattened interval search (the paper's proposed "range
                   // search for port matches" extension template)
@@ -36,13 +36,10 @@ inline const char* to_string(TableTemplate t) {
 }
 
 /// Fig. 4's fallback order, extended with the range template between LPM and
-/// the linked list.  The cuckoo variant shares the compound hash's
-/// prerequisite, so it degrades to the fixed-capacity hash first.
+/// the linked list.
 inline TableTemplate fallback_of(TableTemplate t) {
   switch (t) {
     case TableTemplate::kDirectCode:
-      return TableTemplate::kCompoundHash;
-    case TableTemplate::kCuckooHash:
       return TableTemplate::kCompoundHash;
     case TableTemplate::kCompoundHash:
       return TableTemplate::kLpm;

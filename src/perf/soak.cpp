@@ -30,8 +30,8 @@ std::string u64s(uint64_t v) { return std::to_string(v); }
 ///   * /24 routes in 230.0.0.0/8 into the L3 table (colliding with nothing) —
 ///     the in-place incremental LPM path (epoch-published cells);
 ///   * exact-match entries into a side table unreachable from the pipeline
-///     start — priority != prefix length keeps it off the LPM template, so
-///     with workers registered every mod is a clone-update-swap whose
+///     start — it holds at most one churned entry, so it stays on the
+///     direct-code template and every mod is a rebuild-and-swap whose
 ///     displaced impl retires through the epoch domain.  This is what keeps
 ///     reclamation itself under sustained load (and what the stuck-worker
 ///     planted fault stalls).
@@ -194,8 +194,9 @@ void chaos_churn_chunk(core::Eswitch& sw, uint64_t* mods, int pairs) {
 
 /// Seeds table 200 with enough persistent exact-match entries that analysis
 /// picks the compound-hash template (past direct_code_max_entries) — churn's
-/// add/delete on the table then rides HashTemplateTable::try_add, where the
-/// hash.insert failpoint lives.  Keys sit above the churned range (bit 16).
+/// add/delete on the table then rides CuckooTemplateTable::try_add in place,
+/// where the hash.insert failpoint lives.  Keys sit above the churned range
+/// (bit 16).
 void seed_hash_table(core::Eswitch& sw) {
   for (uint32_t i = 0; i < 8; ++i) {
     flow::FlowMod fm;

@@ -200,9 +200,24 @@ Conntrack::Hit Conntrack::pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t
   return hit;
 }
 
-void Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
-                          uint64_t now, Hit* hits) {
+namespace {
+
+/// Whether the entry a commit for `k` creates can be the one `i` looks up:
+/// the same tuple, a packet from k's destination endpoint, or one to k's
+/// source endpoint.  That covers every reply shape a commit profile makes
+/// (plain reverse, SNAT, load balancer) without knowing the profile.
+bool may_share_connection(const FiveTuple& k, const FiveTuple& i) {
+  if (k.proto != i.proto) return false;
+  return k == i || (i.src_ip == k.dst_ip && i.src_port == k.dst_port) ||
+         (i.dst_ip == k.src_ip && i.dst_port == k.src_port);
+}
+
+}  // namespace
+
+uint32_t Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
+                              uint32_t n, uint64_t now, Hit* hits) {
   uint64_t lookups = 0, found = 0;
+  uint32_t first_open_miss = n;  // earliest miss a post-stage may commit
   for (uint32_t base = 0; base < n; base += kBurstWindow) {
     const uint32_t m = std::min(kBurstWindow, n - base);
     const uint8_t* const* p = pkts + base;
@@ -241,11 +256,32 @@ void Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uin
         pi[i].ct_state = 0;
         continue;
       }
+      if (resolve(p[i], pi[i], h[i], now, hit[i])) {
+        ++lookups;
+        ++found;
+        continue;
+      }
+      // A miss with rule-driven commits: an earlier miss of this call may
+      // still commit this packet's connection in its post-stage, which
+      // scalar pre() would see.  End the prefix here (the miss left no
+      // state behind) so the caller posts the earlier packet first.
+      if (!cfg_.auto_commit) {
+        for (uint32_t k = first_open_miss; k < base + i; ++k) {
+          if (hits[k].tuple_valid && hits[k].entry == nullptr &&
+              pis[k].ct_state == (kCtTracked | kCtNew) &&
+              may_share_connection(hits[k].tuple, hit[i].tuple)) {
+            count_lookups(lookups, found);
+            return base + i;
+          }
+        }
+        if (pi[i].ct_state == (kCtTracked | kCtNew))
+          first_open_miss = std::min(first_open_miss, base + i);
+      }
       ++lookups;
-      found += resolve(p[i], pi[i], h[i], now, hit[i]) ? 1 : 0;
     }
   }
   count_lookups(lookups, found);
+  return n;
 }
 
 bool Conntrack::resolve(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t h,

@@ -126,15 +126,22 @@ class Conntrack {
   /// counts its own lookup into stats().
   Hit pre(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
 
-  /// Burst pre-stage: the same outcome as n pre() calls in order, with the
+  /// Burst pre-stage: the same outcome as pre() calls in order, with the
   /// lookups' cache misses overlapped.  Hint passes over each window of up to
   /// 32 packets prefetch the bucket words, then the first chain links, then
   /// the entries' key lines; the packets are then resolved in order, each
   /// re-loading its bucket head so a commit made by packet i (auto_commit)
-  /// is seen by packet j > i.  Lookups are counted once per
-  /// call.  Same thread-safety as pre().
-  void pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
-                 uint64_t now_ms, Hit* hits);
+  /// is seen by packet j > i.
+  ///
+  /// Returns how many packets it resolved: all `n`, unless commits are
+  /// rule-driven (auto_commit off) and a packet misses whose connection an
+  /// earlier miss of this call may commit in its post-stage.  Resolution
+  /// stops before that packet; the caller walks and posts the prefix, then
+  /// calls again for the rest, as scalar pre()/post() pairs would see it.
+  /// The check runs on misses only.  Lookups are counted once per call.
+  /// Same thread-safety as pre().
+  uint32_t pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
+                     uint64_t now_ms, Hit* hits);
 
   /// Post-stage: commit if requested (or auto_commit) and the pre-stage
   /// missed, then apply the entry's NAT rewrite to the packet (checksums

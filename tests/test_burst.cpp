@@ -211,11 +211,8 @@ TEST(BurstParity, BigHashTableCrossesPrefetchGate) {
   // (kPrefetchMinBytes) turns the hash template's bucket prefetch ON, so the
   // key-recompute hint path runs under the parity check (the LPM hint is
   // always on — tbl24 alone is 64 MiB — and is covered by LpmTemplateL3).
-  // Cuckoo re-selection is disabled: 50K entries would otherwise cross
-  // cuckoo_min_entries, and this test exists to cover the compound hash.
   const auto uc = uc::make_l2(50000);
   core::CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 0;
   Eswitch probe(cfg);
   probe.install(uc.pipeline);
   ASSERT_EQ(probe.table_template(0), TableTemplate::kCompoundHash);

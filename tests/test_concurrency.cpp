@@ -1,7 +1,7 @@
 // Concurrent correctness of the multicore runtime: registered workers spin
 // process_burst while the control thread streams apply/apply_batch through
-// both incremental shapes (in-place LPM, clone-and-swap hash) and the rebuild
-// path (direct code).  Asserts verdict conservation (nothing lost or
+// both update shapes: in place (LPM, compound hash) and rebuild-and-swap
+// (direct code, linked list).  Asserts verdict conservation (nothing lost or
 // duplicated), old-or-new verdict consistency, eventual visibility of
 // installed rules, and that retired tables are reclaimed via the epoch grace
 // period — while readers are live — rather than via caller quiescence.
@@ -107,25 +107,27 @@ struct BurstReader {
   }
 };
 
-// Workers process a flow that is never touched by the churn; the control
-// thread streams adds/deletes of *other* rules through the clone-and-swap
-// path (hash template + registered workers).  No verdict may be lost,
-// duplicated, or anything but the stable rule's output.
-TEST(Concurrency, VerdictConservationUnderHashChurn) {
-  Pipeline pl;
-  for (int i = 0; i < 20; ++i)
-    pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
-                               ",actions=output:1"));
-  Eswitch sw;
-  sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+// Workers process a flow that is never touched by the churn while the
+// control thread streams seeded adds/deletes of *other* rules into table 0.
+// No verdict may be lost, duplicated, or anything but the stable rule's
+// output.  With `until_reclaimed` the churn keeps going (bounded) until the
+// epoch layer has reclaimed at least one displaced table while the workers
+// are live — on a loaded 1-core machine a fixed count can end before any
+// worker ticks through a full grace period.
+struct ChurnOutcome {
+  int applied = 0;                // add/delete pairs
+  uint64_t reclaimed_live = 0;    // reclaimed before the workers stopped
+};
 
+ChurnOutcome churn_under_two_readers(Eswitch& sw, const char* seed_name,
+                                     bool until_reclaimed) {
   std::atomic<bool> stop{false};
   constexpr int kReaders = 2;
   std::vector<std::unique_ptr<BurstReader>> readers;  // atomic member: pin it
   for (int r = 0; r < kReaders; ++r) {
     Eswitch::Worker* ctx = sw.register_worker();
-    ASSERT_NE(ctx, nullptr);
+    EXPECT_NE(ctx, nullptr);
+    if (ctx == nullptr) return {};
     readers.push_back(
         std::make_unique<BurstReader>(sw, ctx, test::udp_spec(1, 2, 9, 3), stop));
     readers.back()->allowed_a = Verdict::output(1);
@@ -135,29 +137,24 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   for (auto& r : readers) threads.emplace_back([&r] { r->run(); });
   for (auto& r : readers) wait_for_progress(r->processed);
 
-  // Progress-driven churn: at least `churn` rounds, and keep going (bounded)
-  // until the epoch layer has reclaimed at least one displaced table while
-  // the workers are live — on a loaded 1-core machine a fixed count can end
-  // before any worker ticks through a full grace period.
-  Rng rng(esw::testing::test_seed(
-      0xC0C0, "Concurrency.VerdictConservationUnderHashChurn"));
+  Rng rng(esw::testing::test_seed(0xC0C0, seed_name));
   const int churn = 300 * conc_scale();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  int i = 0;
-  for (; (i < churn || sw.reclaim_stats().reclaimed == 0) &&
+  ChurnOutcome out;
+  for (; (out.applied < churn ||
+          (until_reclaimed && sw.reclaim_stats().reclaimed == 0)) &&
          std::chrono::steady_clock::now() < deadline;
-       ++i) {
+       ++out.applied) {
     // Seeded random churn target: the interleaving is scheduler-driven, but
     // the mod stream itself replays from the logged seed.
     const std::string rule =
         "priority=5,udp_dst=" + std::to_string(1000 + rng.below(16)) + ",actions=output:7";
     sw.apply(add_mod(0, rule));
     sw.apply(del_mod(0, rule));
-    if (i % 16 == 15) std::this_thread::yield();  // let workers tick
+    if (out.applied % 16 == 15) std::this_thread::yield();  // let workers tick
   }
-  const int applied = i;
-  const auto reclaimed_live = sw.reclaim_stats().reclaimed;
+  out.reclaimed_live = sw.reclaim_stats().reclaimed;
   stop = true;
   for (auto& t : threads) t.join();
 
@@ -175,14 +172,61 @@ TEST(Concurrency, VerdictConservationUnderHashChurn) {
   EXPECT_EQ(st.packets, total);
   EXPECT_EQ(st.outputs, total);
   EXPECT_EQ(st.drops, 0u);
-
-  // The churn ran on the clone-and-swap incremental path and the epoch layer
-  // reclaimed displaced tables while both workers were live.
-  EXPECT_GT(sw.update_stats().cow_swaps, 0u);
-  EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * applied));
-  EXPECT_GT(reclaimed_live, 0u);
-
   for (auto& r : readers) sw.unregister_worker(r->ctx);
+  return out;
+}
+
+Pipeline udp_rules(int n) {
+  Pipeline pl;
+  for (int i = 0; i < n; ++i)
+    pl.table(0).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
+                               ",actions=output:1"));
+  return pl;
+}
+
+// The in-place shape: the compound hash takes every mod on the published
+// impl under both workers — no rebuild, no swap; the entries it unlinks
+// retire through the epoch domain and drain once the workers leave.
+TEST(Concurrency, VerdictConservationUnderHashChurn) {
+  Eswitch sw;
+  sw.install(udp_rules(20));
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  const CompiledTable* impl = sw.datapath().impl(sw.root_slot(0));
+  const auto rebuilds_before = sw.update_stats().table_rebuilds;
+
+  const ChurnOutcome c = churn_under_two_readers(
+      sw, "Concurrency.VerdictConservationUnderHashChurn", false);
+  ASSERT_GT(c.applied, 0);
+
+  EXPECT_EQ(sw.update_stats().incremental, static_cast<uint64_t>(2 * c.applied));
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), impl) << "hash table was swapped";
+  sw.datapath().reclaim();
+  EXPECT_EQ(impl->retired_pending(), 0u) << "retired cuckoo entries never drained";
+}
+
+// The rebuild-and-swap shape: a linked-list table changed under workers is
+// rebuilt side by side on every mod and swapped in; the displaced tables are
+// reclaimed through the epoch grace period while both workers are live.
+TEST(Concurrency, VerdictConservationUnderLinkedListChurn) {
+  CompilerConfig cfg;
+  cfg.force_template = TableTemplate::kLinkedList;
+  Eswitch sw(cfg);
+  sw.install(udp_rules(20));
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+  const auto rebuilds_before = sw.update_stats().table_rebuilds;
+
+  const ChurnOutcome c = churn_under_two_readers(
+      sw, "Concurrency.VerdictConservationUnderLinkedListChurn", true);
+  ASSERT_GT(c.applied, 0);
+
+  EXPECT_EQ(sw.update_stats().incremental, 0u);
+  EXPECT_EQ(sw.update_stats().table_rebuilds,
+            rebuilds_before + static_cast<uint64_t>(2 * c.applied));
+  EXPECT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
+  EXPECT_GT(c.reclaimed_live, 0u);
+  sw.datapath().reclaim();
+  EXPECT_EQ(sw.reclaim_stats().pending, 0u);
 }
 
 // The rebuild path under load: a direct-code table rebuilds on every mod, so
@@ -307,7 +351,7 @@ TEST(Concurrency, EventualVisibilityOfInstalledRules) {
 // LPM stays on the in-place incremental path even with workers registered
 // (reader-safe per-cell publication).  Flows under churned /24s must see the
 // old or the new route, never anything else; flows under untouched /8s must
-// be entirely unaffected; and the churn must not trigger rebuilds or clones.
+// be entirely unaffected; and the churn must not trigger rebuilds.
 TEST(Concurrency, LpmInPlaceChurnOldOrNewVerdicts) {
   Pipeline pl;
   for (int i = 0; i < 32; ++i) {
@@ -401,9 +445,8 @@ TEST(Concurrency, LpmInPlaceChurnOldOrNewVerdicts) {
   EXPECT_EQ(deep.unexpected, 0u) << "tbl8 fold/recycle leaked a foreign route";
   EXPECT_GT(churned.processed, 0u);
   EXPECT_GT(deep.processed, 0u);
-  // In place: incremental throughout, no rebuilds, no clone-swaps.
+  // In place: incremental throughout, no rebuilds.
   EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before);
-  EXPECT_EQ(sw.update_stats().cow_swaps, 0u);
   EXPECT_GE(sw.update_stats().incremental, static_cast<uint64_t>(40 * rounds));
 }
 

@@ -450,9 +450,10 @@ TEST(CtParity, LbJitVsInterpreter) {
 
 // Feeds `trace` to two tables: one through pre_burst over ragged chunks (a
 // trace of up to 32 packets is one chunk; one chunk is longer than a hint
-// window), the other through one scalar pre() per
-// packet.  Both must stamp the same ct_state, return the same Hit shape and
-// end with the same counters.  Returns the burst side's stamps.
+// window), each chunk re-offered from wherever pre_burst stopped, the other
+// through one scalar pre() per packet.  Both must stamp the same ct_state,
+// return the same Hit shape and end with the same counters.  Returns the
+// burst side's stamps.
 std::vector<uint32_t> expect_burst_parity(const CtConfig& cfg,
                                           const std::vector<net::Packet>& trace) {
   CtHarness scalar(cfg);
@@ -477,9 +478,12 @@ std::vector<uint32_t> expect_burst_parity(const CtConfig& cfg,
   constexpr size_t kLens[] = {32, 1, 77, 31};
   for (size_t done = 0, k = 0; done < n; ++k) {
     const size_t len = std::min(kLens[k % 4], n - done);
-    burst.ct.pre_burst(frames.data() + done, bpi.data() + done, static_cast<uint32_t>(len),
-                       now, bhit.data() + done);
-    done += len;
+    const uint32_t m = burst.ct.pre_burst(frames.data() + done, bpi.data() + done,
+                                          static_cast<uint32_t>(len), now,
+                                          bhit.data() + done);
+    EXPECT_GE(m, 1u);
+    EXPECT_LE(m, len);
+    done += m;
   }
 
   std::vector<uint32_t> states(n);
@@ -580,6 +584,38 @@ TEST(CtBurst, SynAndSynAckInOneChunk) {
   EXPECT_EQ(off[1], kCtTracked | kCtNew);
 }
 
+// With rule-driven commits the SYN-ACK depends on the SYN's post-stage
+// commit: pre_burst resolves the SYN alone and stops before the reply.
+TEST(CtBurst, StopsBeforeMissTheEarlierMissMayCommit) {
+  CtHarness h(burst_cfg(false));
+  std::vector<net::Packet> trace = {
+      make_packet(tcp_with_flags(kClient, kServer, 40000, 443, proto::kTcpFlagSyn)),
+      make_packet(test::udp_spec(kClient + 7, kServer + 7, 5000, 53)),
+      make_packet(tcp_with_flags(kServer, kClient, 443, 40000,
+                                 proto::kTcpFlagSyn | proto::kTcpFlagAck))};
+  std::vector<proto::ParseInfo> pis;
+  std::vector<const uint8_t*> frames;
+  for (const net::Packet& p : trace) {
+    pis.push_back(test::parse_packet(p));
+    frames.push_back(p.data());
+  }
+  Conntrack::Hit hits[3];
+  // The unrelated UDP miss does not end the prefix; the reply does.
+  EXPECT_EQ(h.ct.pre_burst(frames.data(), pis.data(), 3, h.ct.now_ms(), hits), 2u);
+  EXPECT_EQ(h.ct.stats().lookups, 2u);
+  h.ct.post(hits[0], /*commit_requested=*/true, 0, trace[0].data(), pis[0],
+            h.ct.now_ms());
+  EXPECT_EQ(h.ct.pre_burst(frames.data() + 2, pis.data() + 2, 1, h.ct.now_ms(), hits + 2),
+            1u);
+  EXPECT_EQ(pis[2].ct_state, kCtTracked | kCtEstablished | kCtNew | kCtReply);
+  EXPECT_EQ(h.ct.stats().lookups, 3u);
+
+  // Auto-commit already commits inside the pre-stage: nothing to wait for.
+  CtHarness a(burst_cfg(true));
+  for (size_t i = 0; i < trace.size(); ++i) pis[i] = test::parse_packet(trace[i]);
+  EXPECT_EQ(a.ct.pre_burst(frames.data(), pis.data(), 3, a.ct.now_ms(), hits), 3u);
+}
+
 // ARP carries no tuple: stamped 0, no lookup counted, neighbours unaffected.
 TEST(CtBurst, UntrackedArpFrames) {
   proto::PacketSpec arp;
@@ -661,6 +697,104 @@ TEST(CtStats, ChunkTalliedLookupsMatchPerPacketCounts) {
   EXPECT_EQ(b.hits, a.hits);
   EXPECT_EQ(b.misses, a.misses);
   EXPECT_EQ(b.commits, a.commits);
+}
+
+// --- burst vs scalar datapath --------------------------------------------------
+
+// The same frames through one switch per packet (process()) and through
+// another in ragged bursts (process_burst()): verdicts, egress bytes (NAT
+// rewrites) and connection counters must agree.
+void expect_burst_matches_scalar(const uc::CtUseCase& c,
+                                 const std::vector<net::Packet>& trace) {
+  Eswitch scalar(cfg_for(c));
+  Eswitch burst(cfg_for(c));
+  scalar.install(c.pipeline);
+  burst.install(c.pipeline);
+
+  std::vector<net::Packet> sp = trace;
+  std::vector<Verdict> sv;
+  for (net::Packet& p : sp) sv.push_back(scalar.process(p));
+
+  std::vector<net::Packet> bp = trace;
+  std::vector<net::Packet*> ptrs;
+  for (net::Packet& p : bp) ptrs.push_back(&p);
+  std::vector<Verdict> bv(ptrs.size());
+  constexpr size_t kLens[] = {32, 2, 77, 31, 5};
+  for (size_t done = 0, k = 0; done < ptrs.size(); done += kLens[k++ % 5]) {
+    const size_t len = std::min(kLens[k % 5], ptrs.size() - done);
+    burst.process_burst(ptrs.data() + done, static_cast<uint32_t>(len), bv.data() + done);
+  }
+
+  for (size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_EQ(bv[i], sv[i]) << "packet " << i;
+    ASSERT_EQ(bp[i].len(), sp[i].len()) << "packet " << i;
+    ASSERT_EQ(std::memcmp(bp[i].data(), sp[i].data(), sp[i].len()), 0)
+        << "egress bytes diverge at packet " << i;
+  }
+  const Conntrack::Stats a = scalar.conntrack()->stats();
+  const Conntrack::Stats b = burst.conntrack()->stats();
+  EXPECT_EQ(b.lookups, a.lookups);
+  EXPECT_EQ(b.hits, a.hits);
+  EXPECT_EQ(b.commits, a.commits);
+  EXPECT_EQ(b.live, a.live);
+}
+
+uc::CtUseCase manual(uc::CtUseCase c) {
+  c.ct.manual_clock = true;
+  c.ct.auto_commit = false;  // commits come from the ct:commit rules
+  return c;
+}
+
+// A SYN and its SYN-ACK in one burst: the reply must see the SYN's
+// rule-driven commit, as it does when the two are processed one by one.
+TEST(CtBurst, SynAndSynAckInOneBurstMatchScalar) {
+  const uc::CtUseCase c = manual(uc::make_ct_firewall());
+  const std::vector<net::Packet> trace = {
+      make_packet(tcp_with_flags(kClient, kServer, 50000, 443, proto::kTcpFlagSyn),
+                  uc::kCtInsidePort),
+      make_packet(tcp_with_flags(kServer, kClient, 443, 50000,
+                                 proto::kTcpFlagSyn | proto::kTcpFlagAck),
+                  uc::kCtOutsidePort)};
+  Eswitch sw(cfg_for(c));
+  sw.install(c.pipeline);
+  std::vector<net::Packet> bp = trace;
+  net::Packet* ptrs[2] = {&bp[0], &bp[1]};
+  Verdict v[2];
+  sw.process_burst(ptrs, 2, v);
+  EXPECT_EQ(v[0], Verdict::output(uc::kCtOutsidePort));
+  EXPECT_EQ(v[1], Verdict::output(uc::kCtInsidePort));
+  expect_burst_matches_scalar(c, trace);
+}
+
+// A seeded stream over a small connection pool (both directions, every TCP
+// flag step, UDP) through the firewall, SNAT and load-balancer programs.
+TEST(CtBurst, SeededStreamProcessBurstMatchesScalar) {
+  const uint64_t seed = testing::test_seed(0xC7B1, "CtBurst.SeededProcessBurst");
+  constexpr uint8_t kFlags[] = {
+      proto::kTcpFlagSyn, proto::kTcpFlagSyn | proto::kTcpFlagAck, proto::kTcpFlagAck,
+      proto::kTcpFlagFin | proto::kTcpFlagAck, proto::kTcpFlagRst};
+  for (const uc::CtUseCase& c :
+       {manual(uc::make_ct_firewall()), manual(uc::make_ct_nat(uc::kCtNatDefaultIp)),
+        manual(uc::make_ct_lb(4))}) {
+    Rng rng(seed);
+    std::vector<net::Packet> trace;
+    for (size_t i = 0; i < 1200; ++i) {
+      const uint32_t conn = static_cast<uint32_t>(rng.below(40));
+      const bool reply = rng.below(3) == 0;
+      const uint32_t a = kClient + conn, b = kServer;
+      const uint16_t pa = static_cast<uint16_t>(40000 + conn), pb = 443;
+      proto::PacketSpec spec;
+      if (rng.below(4) == 0) {
+        spec = reply ? test::udp_spec(b, a, pb, pa) : test::udp_spec(a, b, pa, pb);
+      } else {
+        const uint8_t flags = kFlags[rng.below(sizeof kFlags)];
+        spec = reply ? tcp_with_flags(b, a, pb, pa, flags)
+                     : tcp_with_flags(a, b, pa, pb, flags);
+      }
+      trace.push_back(make_packet(spec, reply ? uc::kCtOutsidePort : uc::kCtInsidePort));
+    }
+    expect_burst_matches_scalar(c, trace);
+  }
 }
 
 // --- concurrent churn --------------------------------------------------------

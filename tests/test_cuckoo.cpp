@@ -1,6 +1,6 @@
 // The million-flow control plane: the resizable reader-safe cuckoo table
-// (cls level), the cuckoo template's selection/re-selection inside Eswitch,
-// and the once-per-batch recompile/fusion schedule it feeds.
+// (cls level), the compound-hash template built on it inside Eswitch, and
+// the once-per-batch recompile/fusion schedule it feeds.
 //
 // Scale knob: ESW_CUCKOO_CHURN_KEYS sets the churn test's target entry count
 // (default 200'000; the CI TSan leg runs it at 1'000'000 under 4 readers).
@@ -78,6 +78,15 @@ TEST(Cuckoo, DistinguishesKeyLengths) {
   EXPECT_EQ(t.lookup(bytes(a), 2)->value, 1u);
   ASSERT_TRUE(t.lookup(bytes(b), 3).has_value());
   EXPECT_EQ(t.lookup(bytes(b), 3)->value, 2u);
+}
+
+TEST(Cuckoo, TraceReportsTouchedLines) {
+  CuckooTable t;
+  const auto k = key_of(42);
+  t.insert(bytes(k), 8, 7);
+  MemTrace trace;
+  ASSERT_TRUE(t.lookup(bytes(k), 8, &trace).has_value());
+  EXPECT_GE(trace.lines().size(), 1u);
 }
 
 TEST(Cuckoo, ChurnMatchesReference) {
@@ -375,16 +384,14 @@ Pipeline udp_fanout(size_t n) {
 
 TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {
   // The tab02 methodology at test scale: identical traffic through the same
-  // program compiled under the cuckoo template and under the linked-list
-  // reference; verdicts must agree on every packet, through churn.
+  // program compiled under the cuckoo-backed compound hash and under the
+  // linked-list reference; verdicts must agree on every packet, through churn.
   const uint64_t seed = testing::test_seed(0x7AB02ULL, "cuckoo parity");
   const Pipeline pl = udp_fanout(2048);
 
-  CompilerConfig cuckoo_cfg;
-  cuckoo_cfg.cuckoo_min_entries = 16;  // well under 2048: analysis picks cuckoo
-  Eswitch cuckoo(cuckoo_cfg);
+  Eswitch cuckoo;
   cuckoo.install(pl);
-  ASSERT_EQ(cuckoo.table_template(0), TableTemplate::kCuckooHash);
+  ASSERT_EQ(cuckoo.table_template(0), TableTemplate::kCompoundHash);
 
   CompilerConfig list_cfg;
   list_cfg.force_template = TableTemplate::kLinkedList;
@@ -424,54 +431,35 @@ TEST(CuckooTemplate, Tab02ScaleParityWithLinkedList) {
   EXPECT_GT(cuckoo.update_stats().incremental, 0u);
 }
 
-TEST(CuckooTemplate, GrowthReselectsCompoundHashToCuckoo) {
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 64;
-  Eswitch sw(cfg);
+TEST(CuckooTemplate, SmallHashTableGrowsInPlace) {
+  // A hash table built at 20 entries is sized for 20, then grows to 400
+  // through single mods and through a batch: every mod lands in place on the
+  // same impl, with no rebuild and no template re-selection.
+  Eswitch sw;
   sw.install(udp_fanout(20));
   ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  ASSERT_EQ(sw.update_stats().template_reselections, 0u);
+  const CompiledTable* impl = sw.datapath().impl(sw.root_slot(0));
+  const size_t bytes_built = impl->memory_bytes();
+  const auto rebuilds = sw.update_stats().table_rebuilds;
 
   for (uint16_t i = 20; i < 200; ++i) sw.apply(add_mod(0, i, 1 + i % 7));
+  std::vector<FlowMod> batch;
+  for (uint16_t i = 200; i < 400; ++i) batch.push_back(add_mod(0, i, 1 + i % 7));
+  sw.apply_batch(batch);
 
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
-  EXPECT_GE(sw.update_stats().template_reselections, 1u);
-  for (uint16_t i : {0u, 19u, 20u, 64u, 199u}) {
+  EXPECT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
+  EXPECT_EQ(sw.datapath().impl(sw.root_slot(0)), impl) << "table was replaced";
+  EXPECT_GT(impl->memory_bytes(), bytes_built) << "index did not grow";
+  EXPECT_EQ(impl->size(), 400u);
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds);
+  EXPECT_EQ(sw.update_stats().template_reselections, 0u);
+  EXPECT_EQ(sw.update_stats().incremental, 380u);
+  for (uint16_t i : {0u, 19u, 20u, 199u, 200u, 399u}) {
     auto p = make_packet(test::udp_spec(1, 2, 9, static_cast<uint16_t>(i)));
     EXPECT_EQ(sw.process(p), Verdict::output(1 + i % 7)) << i;
   }
   auto miss = make_packet(test::udp_spec(1, 2, 9, 999));
   EXPECT_EQ(sw.process(miss), Verdict::drop());
-
-  // Once on the cuckoo template, further churn is incremental — no rebuilds.
-  const auto rebuilds = sw.update_stats().table_rebuilds;
-  for (uint16_t i = 200; i < 400; ++i) sw.apply(add_mod(0, i, 2));
-  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds);
-  auto p = make_packet(test::udp_spec(1, 2, 9, 333));
-  EXPECT_EQ(sw.process(p), Verdict::output(2));
-}
-
-TEST(CuckooTemplate, BatchReselectsOnceNotPerMod) {
-  // A churn burst crossing the re-selection threshold mid-batch must produce
-  // exactly one re-selecting rebuild at commit, not one per remaining mod.
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 64;
-  Eswitch sw(cfg);
-  sw.install(udp_fanout(20));
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
-  const auto rebuilds_before = sw.update_stats().table_rebuilds;
-
-  std::vector<FlowMod> batch;
-  for (uint16_t i = 20; i < 220; ++i) batch.push_back(add_mod(0, i, 1 + i % 7));
-  sw.apply_batch(batch);
-
-  EXPECT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
-  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds_before + 1);
-  EXPECT_EQ(sw.update_stats().template_reselections, 1u);
-  for (uint16_t i : {0u, 21u, 219u}) {
-    auto p = make_packet(test::udp_spec(1, 2, 9, static_cast<uint16_t>(i)));
-    EXPECT_EQ(sw.process(p), Verdict::output(1 + i % 7)) << i;
-  }
 }
 
 TEST(CuckooTemplate, BatchRepublishesFusionOnce) {

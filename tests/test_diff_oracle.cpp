@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "testing/diff_runner.hpp"
@@ -151,6 +152,14 @@ TEST(DiffOracle, InjectedFaultMinimizesToReproArtifact) {
   EXPECT_EQ(d->kind, "verdict") << d->detail;
   ASSERT_FALSE(d->pcap_path.empty());
   ASSERT_FALSE(d->rules_path.empty());
+
+  // Artifacts written before the cuckoo threshold was retired carry its key;
+  // the loader must skip it like any other unknown key.
+  {
+    std::ofstream rf(d->rules_path, std::ios::app);
+    rf << "# cfg cuckoo_min_entries=16\n";
+    ASSERT_TRUE(rf.good());
+  }
 
   // The artifact loads back...
   std::string err;

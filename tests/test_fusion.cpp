@@ -437,23 +437,32 @@ TEST(Fusion, InPlaceUpdateKeepsPublishedPlan) {
   EXPECT_EQ(v, Verdict::output(7));
 }
 
-TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
-  // Mixed pipeline: a direct-code stage chained into a hash stage.  With a
-  // worker registered, a hash add becomes a clone-update-swap — the impl
-  // pointer changes, so the plan must republish (new fingerprint), but the
-  // direct-code member set is untouched (same program_key), so the previous
-  // machine program must be reused, not re-emitted.  A direct-code mod then
-  // changes the member set and must produce a fresh program.
+/// Twenty rules over two mask sets (udp_dst alone, ip_src + udp_dst): no
+/// shared mask and more than one field, so analysis lands on the linked list.
+void add_linked_list_rules(flow::FlowTable& t) {
+  for (int i = 0; i < 20; ++i)
+    t.add(parse_rule(i % 2 == 0 ? "priority=5,udp_dst=" + std::to_string(i) +
+                                      ",actions=output:1"
+                                : "priority=6,ip_src=10.0.0." + std::to_string(i) +
+                                      ",udp_dst=" + std::to_string(i) +
+                                      ",actions=output:1"));
+}
+
+TEST(Fusion, RebuildSwapChurnReusesMachineProgram) {
+  // Mixed pipeline: a direct-code stage chained into a linked-list stage.
+  // With a worker registered, a linked-list add is a rebuild-and-swap — the
+  // impl pointer changes, so the plan must republish (new fingerprint), but
+  // the direct-code member set is untouched (same program_key), so the
+  // previous machine program must be reused, not re-emitted.  A direct-code
+  // mod then changes the member set and must produce a fresh program.
   if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=10,eth_type=0x0800,actions=goto:1"));
-  for (int i = 0; i < 20; ++i)
-    pl.table(1).add(parse_rule("priority=5,udp_dst=" + std::to_string(i) +
-                               ",actions=output:1"));
+  add_linked_list_rules(pl.table(1));
   Eswitch sw;
   sw.install(pl);
   ASSERT_EQ(sw.table_template(0), TableTemplate::kDirectCode);
-  ASSERT_EQ(sw.table_template(1), TableTemplate::kCompoundHash);
+  ASSERT_EQ(sw.table_template(1), TableTemplate::kLinkedList);
   ASSERT_TRUE(sw.fused_active());
 
   Eswitch::Worker* w = sw.register_worker();
@@ -467,7 +476,8 @@ TEST(Fusion, CloneSwapChurnReusesMachineProgram) {
   sw.apply(add_mod(1, "priority=5,udp_dst=2000,actions=output:7"));
   const FusedPipeline* plan1 = sw.datapath().fused();
   ASSERT_NE(plan1, nullptr);
-  EXPECT_NE(plan1, plan0) << "clone-swap churn did not republish";
+  EXPECT_NE(plan1, plan0) << "rebuild-and-swap churn did not republish";
+  EXPECT_EQ(sw.table_template(1), TableTemplate::kLinkedList);
   EXPECT_EQ(plan1->program.get(), prog0) << "unchanged member set re-emitted";
 
   sw.apply(add_mod(0, "priority=9,eth_type=0x0806,actions=controller"));
@@ -558,18 +568,16 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
 }
 
 TEST(Fusion, InPlaceGrowthRefreshesPrefetchFlag) {
-  // A cuckoo table grows in place under a registered worker (same impl
+  // A hash table grows in place under a registered worker (same impl
   // pointer): the plan's want_prefetch must follow it across
   // kPrefetchMinBytes, so the flag is part of the plan fingerprint.
-  CompilerConfig cfg;
-  cfg.cuckoo_min_entries = 16;
   Pipeline pl;
   for (int i = 0; i < 32; ++i)
     pl.table(0).add(parse_rule("priority=5,ip_dst=10.0.0." + std::to_string(i) +
                                ",actions=output:1"));
-  Eswitch sw(cfg);
+  Eswitch sw;
   sw.install(pl);
-  ASSERT_EQ(sw.table_template(0), TableTemplate::kCuckooHash);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kCompoundHash);
   Eswitch::Worker* w = sw.register_worker();
   ASSERT_NE(w, nullptr);
   const core::CompiledTable* impl = sw.datapath().impl(sw.root_slot(0));
@@ -655,14 +663,19 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
 // --- concurrent churn: epoch-safe republish ---------------------------------
 
 TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
-  // One packet worker runs fused bursts while the control thread churns the
-  // MAC table (clone-update-swap per mod => a plan republish per mod).  The
-  // run must stay crash-free with exact verdict accounting, and every retired
-  // plan/impl must drain once the worker is gone.
+  // One packet worker runs bursts while the control thread churns the MAC
+  // table on the linked-list template (rebuild-and-swap per mod => a plan
+  // republish per mod).  The run must stay crash-free with exact verdict
+  // accounting, and every retired plan/impl must drain once the worker is
+  // gone.
   const auto uc = uc::make_l2(2000);
-  Eswitch sw;
+  CompilerConfig cfg;
+  cfg.force_template = TableTemplate::kLinkedList;
+  Eswitch sw(cfg);
   sw.install(uc.pipeline);
+  ASSERT_EQ(sw.table_template(0), TableTemplate::kLinkedList);
   ASSERT_TRUE(sw.fused_active());
+  const auto republishes = sw.update_stats().fusion_republishes;
   Eswitch::Worker* w = sw.register_worker();
   ASSERT_NE(w, nullptr);
 
@@ -698,6 +711,7 @@ TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   worker.join();
   sw.unregister_worker(w);
 
+  EXPECT_EQ(sw.update_stats().fusion_republishes - republishes, 300u);
   EXPECT_TRUE(sw.fused_active()) << "churn ended with the fast path lost";
   const auto st = sw.datapath().stats();
   EXPECT_EQ(st.packets, processed.load());

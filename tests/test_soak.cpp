@@ -75,7 +75,8 @@ TEST(Soak, CleanRunPassesEveryCheck) {
 
 TEST(Soak, ChurnExercisesReclamation) {
   // The soak is only a reclamation test if churn actually retires objects:
-  // the clone-and-swap stream must show up in the reclaim check's detail.
+  // the side table's rebuild-and-swap stream must show up in the reclaim
+  // check's detail.
   const SoakReport r = run_soak(test_opts());
   bool ok = false;
   ASSERT_TRUE(has_check(r, "reclaim", &ok));

@@ -80,15 +80,6 @@ TEST(Cuckoo, DistinguishesKeyLengths) {
   EXPECT_EQ(t.lookup(bytes(b), 3)->value, 2u);
 }
 
-TEST(Cuckoo, TraceReportsTouchedLines) {
-  CuckooTable t;
-  const auto k = key_of(42);
-  t.insert(bytes(k), 8, 7);
-  MemTrace trace;
-  ASSERT_TRUE(t.lookup(bytes(k), 8, &trace).has_value());
-  EXPECT_GE(trace.lines().size(), 1u);
-}
-
 TEST(Cuckoo, ChurnMatchesReference) {
   const uint64_t seed = testing::test_seed(0xC0C0ACULL, "cuckoo reference churn");
   CuckooTable::Config cfg;

@@ -95,8 +95,8 @@ size_t CuckooTable::memory_bytes() const {
 std::atomic<uint64_t>* CuckooTable::find_slot(View* v, uint64_t h, const uint8_t* key,
                                               uint32_t key_len) {
   const uint16_t tag = static_cast<uint16_t>(h >> 48);
-  const uint32_t buckets[2] = {bucket1(v, h), bucket2(v, h)};
-  for (uint32_t b : buckets) {
+  const Buckets bs = buckets_of(v, h);
+  for (const uint32_t b : {bs.b1, bs.b2}) {
     for (uint32_t s = 0; s < kSlotsPerBucket; ++s) {
       std::atomic<uint64_t>& w = v->slots[b * kSlotsPerBucket + s];
       const uint64_t word = w.load(std::memory_order_relaxed);
@@ -123,8 +123,8 @@ bool CuckooTable::place_empty(View* v, uint32_t bucket, uint64_t word) {
 
 bool CuckooTable::try_place_empty(View* v, Entry* e) {
   const uint64_t word = pack_word(e);
-  return place_empty(v, bucket1(v, e->hash), word) ||
-         place_empty(v, bucket2(v, e->hash), word);
+  const Buckets bs = buckets_of(v, e->hash);
+  return place_empty(v, bs.b1, word) || place_empty(v, bs.b2, word);
 }
 
 // Displacement chain with an undo log: each step overwrites one victim slot
@@ -136,7 +136,7 @@ bool CuckooTable::kick_place(View* v, Entry* e) {
   kick_undo_.clear();
   uint64_t cur_word = pack_word(e);
   uint64_t cur_hash = e->hash;
-  uint32_t bucket = bucket1(v, cur_hash);
+  uint32_t bucket = buckets_of(v, cur_hash).b1;
   for (uint32_t i = 0; i < cfg_.max_kicks; ++i) {
     const uint32_t slot = (kick_rr_++) & (kSlotsPerBucket - 1);
     const uint32_t idx = bucket * kSlotsPerBucket + slot;
@@ -150,9 +150,8 @@ bool CuckooTable::kick_place(View* v, Entry* e) {
     ++kicks_;
     cur_word = vic;
     cur_hash = word_ptr(vic)->hash;
-    const uint32_t b1 = bucket1(v, cur_hash);
-    const uint32_t b2 = bucket2(v, cur_hash);
-    bucket = (bucket == b1) ? b2 : b1;
+    const Buckets bs = buckets_of(v, cur_hash);
+    bucket = (bucket == bs.b1) ? bs.b2 : bs.b1;
     if (place_empty(v, bucket, cur_word)) return true;
   }
   for (auto it = kick_undo_.rbegin(); it != kick_undo_.rend(); ++it)
@@ -357,10 +356,8 @@ std::optional<CuckooTable::Value> CuckooTable::lookup(const uint8_t* key,
                             back_.load(std::memory_order_acquire)};
     for (const View* v : views) {
       if (v == nullptr) continue;
-      const uint64_t hs = mix64(h ^ v->salt);  // bucket1/bucket2 in one mix
-      const uint32_t buckets[2] = {static_cast<uint32_t>(hs) & v->mask,
-                                   static_cast<uint32_t>(hs >> 32) & v->mask};
-      for (uint32_t b : buckets) {
+      const Buckets bs = buckets_of(v, h);
+      for (const uint32_t b : {bs.b1, bs.b2}) {
         const size_t base = static_cast<size_t>(b) * kSlotsPerBucket;
         if (trace != nullptr)
           trace->touch(&v->slots[base], kSlotsPerBucket * sizeof(uint64_t));
@@ -406,9 +403,9 @@ uint32_t CuckooTable::lookup_burst(const uint8_t* const* keys, const uint32_t* l
     c.m = std::min(kLane, n - base);
     for (uint32_t i = 0; i < c.m; ++i) {
       c.h[i] = hash_bytes(keys[base + i], lens[base + i], kHashSeed);
-      const uint64_t hs = mix64(c.h[i] ^ v->salt);
-      c.b1[i] = static_cast<uint32_t>(hs) & v->mask;
-      c.b2[i] = static_cast<uint32_t>(hs >> 32) & v->mask;
+      const Buckets bs = buckets_of(v, c.h[i]);
+      c.b1[i] = bs.b1;
+      c.b2[i] = bs.b2;
       esw_prefetch(&v->slots[static_cast<size_t>(c.b1[i]) * kSlotsPerBucket]);
       esw_prefetch(&v->slots[static_cast<size_t>(c.b2[i]) * kSlotsPerBucket]);
     }

@@ -57,6 +57,15 @@ class CuckooTable {
     uint16_t aux;
   };
 
+  /// A config whose initial size holds `entries` keys under the grow
+  /// threshold, so loading that many keys never grows the table.
+  static Config sized_for(size_t entries) {
+    Config c;
+    c.initial_buckets = static_cast<uint32_t>(
+        static_cast<double>(entries) / (c.grow_load * kSlotsPerBucket) + 1);
+    return c;
+  }
+
   CuckooTable() : CuckooTable(Config{}) {}
   explicit CuckooTable(const Config& cfg);
   ~CuckooTable();
@@ -99,11 +108,9 @@ class CuckooTable {
   /// (or index) past the live slot array.
   void prefetch(const uint8_t* key, uint32_t key_len) const {
     const View* v = front_.load(std::memory_order_acquire);
-    const uint64_t hs = mix64(hash_bytes(key, key_len, kHashSeed) ^ v->salt);
-    esw_prefetch(&v->slots[static_cast<size_t>(static_cast<uint32_t>(hs) & v->mask) *
-                           kSlotsPerBucket]);
-    esw_prefetch(&v->slots[static_cast<size_t>(static_cast<uint32_t>(hs >> 32) & v->mask) *
-                           kSlotsPerBucket]);
+    const Buckets b = buckets_of(v, hash_bytes(key, key_len, kHashSeed));
+    esw_prefetch(&v->slots[static_cast<size_t>(b.b1) * kSlotsPerBucket]);
+    esw_prefetch(&v->slots[static_cast<size_t>(b.b2) * kSlotsPerBucket]);
   }
 
   size_t size() const { return size_; }
@@ -159,11 +166,12 @@ class CuckooTable {
   static uint64_t pack_word(const Entry* e);
   static void free_entry(Entry* e);
 
-  static uint32_t bucket1(const View* v, uint64_t h) {
-    return static_cast<uint32_t>(mix64(h ^ v->salt)) & v->mask;
-  }
-  static uint32_t bucket2(const View* v, uint64_t h) {
-    return static_cast<uint32_t>(mix64(h ^ v->salt) >> 32) & v->mask;
+  struct Buckets {
+    uint32_t b1, b2;
+  };
+  static Buckets buckets_of(const View* v, uint64_t h) {
+    const uint64_t hs = mix64(h ^ v->salt);
+    return {static_cast<uint32_t>(hs) & v->mask, static_cast<uint32_t>(hs >> 32) & v->mask};
   }
 
   Entry* make_entry(const uint8_t* key, uint32_t key_len, uint64_t value,

@@ -2,8 +2,9 @@
 // the paper's *linked list* template and the OVS-model megaflow cache.
 //
 // Entries are grouped into tuples by their exact mask signature; each tuple
-// indexes its entries with a cls::CuckooTable over the masked key, started at
-// the table's minimum size and grown as entries arrive.  Lookup
+// indexes its entries with a cls::CuckooTable over the masked key.  A bulk
+// load() sizes each tuple's index from its entry count; a tuple opened by
+// add() starts at the minimum size and grows as entries arrive.  Lookup
 // scans tuples best-rank-first with early exit (OVS's "tuple priority
 // sorting") and can report which tuples were visited — the information a
 // flow-caching switch turns into megaflow wildcards (§2.2: fields "that
@@ -49,36 +50,38 @@ class TupleSpace {
   void add(const flow::Match& match, uint32_t rank, Value value) {
     Tuple* t = find_tuple(match);
     if (t == nullptr) {
-      auto fresh = std::make_unique<Tuple>();
-      fresh->present = match.present_bits();
-      for (flow::FieldId f : flow::MatchFields(match))
-        fresh->masks[static_cast<unsigned>(f)] = match.mask(f);
-      fresh->proto_required = match.proto_required();
-      t = fresh.get();
-      tuples_.push_back(std::move(fresh));
+      tuples_.push_back(std::make_unique<Tuple>(match, CuckooTable::sized_for(1)));
+      t = tuples_.back().get();
     }
-    uint8_t key[kMaxKeyBytes];
-    const uint32_t key_len = key_from_match(*t, match, key);
+    insert(*t, {match, rank, std::move(value)});
+    resort();
+  }
 
-    const int32_t slot = t->alloc_slot();
-    t->entries[slot] = {match, rank, std::move(value)};
-
-    // Insert into the per-key chain, kept sorted by rank ascending.
-    int32_t head = -1;
-    if (auto found = t->index.lookup(key, key_len)) head = static_cast<int32_t>(found->value);
-    if (head < 0 || t->entries[head].rank > rank) {
-      t->next[slot] = head;
-      t->index.insert(key, key_len, static_cast<uint64_t>(slot));
-    } else {
-      int32_t prev = head;
-      while (t->next[prev] >= 0 && t->entries[t->next[prev]].rank < rank)
-        prev = t->next[prev];
-      t->next[slot] = t->next[prev];
-      t->next[prev] = slot;
+  /// Loads `entries` into an empty tuple space; the result equals add() of
+  /// each in turn.  Entries are grouped by mask first, so each tuple's index
+  /// is sized from its entry count and never grows during the load, and the
+  /// tuples are sorted once at the end.
+  void load(std::vector<Entry> entries) {
+    ESW_CHECK(tuples_.empty());
+    std::vector<uint32_t> tuple_of(entries.size());
+    std::vector<size_t> first, count;  // per tuple: first entry, entry count
+    for (size_t i = 0; i < entries.size(); ++i) {
+      uint32_t k = 0;
+      while (k < first.size() && !same_mask(entries[first[k]].match, entries[i].match)) ++k;
+      if (k == first.size()) {
+        first.push_back(i);
+        count.push_back(0);
+      }
+      ++count[k];
+      tuple_of[i] = k;
     }
-    ++t->live;
-    ++size_;
-    if (rank < t->min_rank) t->min_rank = rank;
+    for (size_t k = 0; k < first.size(); ++k) {
+      tuples_.push_back(std::make_unique<Tuple>(entries[first[k]].match,
+                                                CuckooTable::sized_for(count[k])));
+      tuples_.back()->reserve(count[k]);
+    }
+    for (size_t i = 0; i < entries.size(); ++i)
+      insert(*tuples_[tuple_of[i]], std::move(entries[i]));
     resort();
   }
 
@@ -179,17 +182,30 @@ class TupleSpace {
   static constexpr uint32_t kMaxKeyBytes = 8 * flow::kNumFields;
 
   struct Tuple {
+    Tuple(const flow::Match& match, const CuckooTable::Config& index_cfg)
+        : present(match.present_bits()),
+          proto_required(match.proto_required()),
+          index(index_cfg) {
+      for (flow::FieldId f : flow::MatchFields(match))
+        masks[static_cast<unsigned>(f)] = match.mask(f);
+    }
+
     uint32_t present = 0;
     std::array<uint64_t, flow::kNumFields> masks{};
     uint32_t proto_required = 0;
     uint32_t min_rank = 0xFFFFFFFF;
-    CuckooTable index{CuckooTable::Config{.initial_buckets = 1}};
+    CuckooTable index;
     std::vector<Entry> entries;
     std::vector<int32_t> next;
     std::vector<bool> slot_live;
     std::vector<int32_t> free_list;
     size_t live = 0;
 
+    void reserve(size_t n) {
+      entries.reserve(n);
+      next.reserve(n);
+      slot_live.reserve(n);
+    }
     int32_t alloc_slot() {
       if (!free_list.empty()) {
         const int32_t s = free_list.back();
@@ -225,6 +241,37 @@ class TupleSpace {
       if (same) return tp.get();
     }
     return nullptr;
+  }
+
+  static bool same_mask(const flow::Match& a, const flow::Match& b) {
+    if (a.present_bits() != b.present_bits()) return false;
+    for (flow::FieldId f : flow::MatchFields(a))
+      if (a.mask(f) != b.mask(f)) return false;
+    return true;
+  }
+
+  // Links `e` into its key's chain in `t`, kept sorted by rank ascending.
+  void insert(Tuple& t, Entry e) {
+    uint8_t key[kMaxKeyBytes];
+    const uint32_t key_len = key_from_match(t, e.match, key);
+    const uint32_t rank = e.rank;
+    const int32_t slot = t.alloc_slot();
+    t.entries[slot] = std::move(e);
+
+    int32_t head = -1;
+    if (auto found = t.index.lookup(key, key_len)) head = static_cast<int32_t>(found->value);
+    if (head < 0 || t.entries[head].rank > rank) {
+      t.next[slot] = head;
+      t.index.insert(key, key_len, static_cast<uint64_t>(slot));
+    } else {
+      int32_t prev = head;
+      while (t.next[prev] >= 0 && t.entries[t.next[prev]].rank < rank) prev = t.next[prev];
+      t.next[slot] = t.next[prev];
+      t.next[prev] = slot;
+    }
+    ++t.live;
+    ++size_;
+    if (rank < t.min_rank) t.min_rank = rank;
   }
 
   static uint32_t key_from_match(const Tuple& t, const flow::Match& m, uint8_t* out) {

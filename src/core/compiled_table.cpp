@@ -82,12 +82,8 @@ std::unique_ptr<CuckooTemplateTable> CuckooTemplateTable::build(
     const std::vector<BuildEntry>& entries, const Match& mask_template, BuildCtx& ctx) {
   // Sized so the whole entry set fits under the grow threshold: the build
   // inserts without a single incremental grow.
-  cls::CuckooTable::Config icfg;
-  icfg.initial_buckets = static_cast<uint32_t>(
-      static_cast<double>(entries.size()) /
-          (icfg.grow_load * cls::CuckooTable::kSlotsPerBucket) +
-      1);
-  auto t = std::unique_ptr<CuckooTemplateTable>(new CuckooTemplateTable(icfg));
+  auto t = std::unique_ptr<CuckooTemplateTable>(
+      new CuckooTemplateTable(cls::CuckooTable::sized_for(entries.size())));
   for (FieldId f : flow::MatchFields(mask_template)) {
     t->fields_.push_back(f);
     t->field_masks_.push_back(mask_template.mask(f));
@@ -393,11 +389,15 @@ uint64_t RangeTemplateTable::lookup(const uint8_t* pkt, const proto::ParseInfo& 
 std::unique_ptr<LinkedListTable> LinkedListTable::build(
     const std::vector<BuildEntry>& entries, BuildCtx& ctx) {
   auto t = std::unique_ptr<LinkedListTable>(new LinkedListTable());
+  std::vector<cls::TupleSpace<uint64_t>::Entry> loaded;
+  loaded.reserve(entries.size());
+  t->mirror_.reserve(entries.size());
   for (const BuildEntry& e : entries) {
     const uint32_t rank = t->rank_of(e.priority);
-    t->ts_.add(e.match, rank, resolve_result(e, ctx));
+    loaded.push_back({e.match, rank, resolve_result(e, ctx)});
     t->mirror_.push_back({e.match, e.priority, rank});
   }
+  t->ts_.load(std::move(loaded));
   return t;
 }
 

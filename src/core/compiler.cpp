@@ -12,6 +12,8 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
                                                 TableTemplate* chosen_out,
                                                 bool* fell_back) {
   AnalysisResult ar = analyze_entries(entries, cfg);
+  ESW_CHECK_MSG(ar.chosen != TableTemplate::kCuckooHash,
+                "analysis remaps the retired kCuckooHash to kCompoundHash");
 
   // A forced template only sticks when its prerequisite actually holds.
   flow::Match mask_template;
@@ -51,7 +53,7 @@ std::unique_ptr<CompiledTable> build_table_impl(const std::vector<BuildEntry>& e
         impl = RangeTemplateTable::build(entries, range_field, ctx);
         break;
       case TableTemplate::kLinkedList:
-      default:  // kCuckooHash: retired, analysis never chooses it
+      default:
         impl = LinkedListTable::build(entries, ctx);
         break;
     }

@@ -41,7 +41,8 @@ perf::CostModel derive_model(const Eswitch& sw, const std::vector<uint8_t>& path
                                 static_cast<uint32_t>(ll->num_tuples()));
         break;
       }
-      default:  // kCuckooHash: retired, never built
+      case TableTemplate::kCuckooHash:
+        ESW_CHECK_MSG(false, "no compiled table has the retired kCuckooHash kind");
         break;
     }
   }

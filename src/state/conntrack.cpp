@@ -218,6 +218,8 @@ uint32_t Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
                               uint32_t n, uint64_t now, Hit* hits) {
   uint64_t lookups = 0, found = 0;
   uint32_t first_open_miss = n;  // earliest miss a post-stage may commit
+  uint32_t open_misses = 0;      // misses a post-stage may commit
+  uint32_t free_at_miss = 0;     // free slots when the first was seen
   for (uint32_t base = 0; base < n; base += kBurstWindow) {
     const uint32_t m = std::min(kBurstWindow, n - base);
     const uint8_t* const* p = pkts + base;
@@ -256,6 +258,14 @@ uint32_t Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
         pi[i].ct_state = 0;
         continue;
       }
+      // More misses may commit than there are free slots: one of those
+      // commits force-evicts a live entry, maybe the one this packet hits.
+      // Scalar pre() would run after that eviction, so end the prefix before
+      // a hit (a miss stays a miss whatever is evicted).
+      if (open_misses > free_at_miss && find_link(h[i], hit[i].tuple) != nullptr) {
+        count_lookups(lookups, found);
+        return base + i;
+      }
       if (resolve(p[i], pi[i], h[i], now, hit[i])) {
         ++lookups;
         ++found;
@@ -274,8 +284,12 @@ uint32_t Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
             return base + i;
           }
         }
-        if (pi[i].ct_state == (kCtTracked | kCtNew))
-          first_open_miss = std::min(first_open_miss, base + i);
+        if (pi[i].ct_state == (kCtTracked | kCtNew)) {
+          if (open_misses++ == 0) {
+            first_open_miss = base + i;
+            free_at_miss = free_slots();
+          }
+        }
       }
       ++lookups;
     }
@@ -284,17 +298,21 @@ uint32_t Conntrack::pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis,
   return n;
 }
 
+const Conntrack::HashLink* Conntrack::find_link(uint64_t h, const FiveTuple& t) const {
+  for (const HashLink* l = buckets_[bucket_of(h)].load(std::memory_order_acquire);
+       l != nullptr; l = l->next.load(std::memory_order_acquire)) {
+    const Entry* e = l->entry;
+    const FiveTuple& key = l->dir == 0 ? e->orig : e->reply;
+    if (key == t && !e->dead.load(std::memory_order_acquire)) return l;
+  }
+  return nullptr;
+}
+
 bool Conntrack::resolve(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t h,
                         uint64_t now, Hit& hit) {
-  for (HashLink* l = buckets_[bucket_of(h)].load(std::memory_order_acquire);
-       l != nullptr; l = l->next.load(std::memory_order_acquire)) {
-    Entry* e = l->entry;
-    const FiveTuple& key = l->dir == 0 ? e->orig : e->reply;
-    if (key == hit.tuple && !e->dead.load(std::memory_order_acquire)) {
-      hit.entry = e;
-      hit.dir = l->dir;
-      break;
-    }
+  if (const HashLink* l = find_link(h, hit.tuple)) {
+    hit.entry = l->entry;
+    hit.dir = l->dir;
   }
 
   if (hit.entry != nullptr) {
@@ -353,6 +371,11 @@ void Conntrack::post(const Hit& hit, bool commit_requested, uint32_t profile,
     flow::store_field(flow::FieldId::kUdpSrc, want.src_port, pkt, pi);
     flow::store_field(flow::FieldId::kUdpDst, want.dst_port, pkt, pi);
   }
+}
+
+uint32_t Conntrack::free_slots() {
+  std::lock_guard<std::mutex> g(free_lock_);
+  return static_cast<uint32_t>(free_.size());
 }
 
 bool Conntrack::alloc_slot(uint32_t* slot) {
@@ -649,16 +672,10 @@ void Conntrack::set_backend_enabled(uint32_t profile, uint32_t backend, bool ena
 }
 
 Conntrack::Entry* Conntrack::find(const FiveTuple& t, uint8_t* dir_out) {
-  const uint64_t h = hash_tuple(t);
-  for (HashLink* l = buckets_[bucket_of(h)].load(std::memory_order_acquire);
-       l != nullptr; l = l->next.load(std::memory_order_acquire)) {
-    const FiveTuple& key = l->dir == 0 ? l->entry->orig : l->entry->reply;
-    if (key == t && !l->entry->dead.load(std::memory_order_acquire)) {
-      if (dir_out != nullptr) *dir_out = l->dir;
-      return l->entry;
-    }
-  }
-  return nullptr;
+  const HashLink* l = find_link(hash_tuple(t), t);
+  if (l == nullptr) return nullptr;
+  if (dir_out != nullptr) *dir_out = l->dir;
+  return l->entry;
 }
 
 void Conntrack::flush_reclaim() {

@@ -134,11 +134,14 @@ class Conntrack {
   /// is seen by packet j > i.
   ///
   /// Returns how many packets it resolved: all `n`, unless commits are
-  /// rule-driven (auto_commit off) and a packet misses whose connection an
-  /// earlier miss of this call may commit in its post-stage.  Resolution
+  /// rule-driven (auto_commit off) and either a packet misses whose
+  /// connection an earlier miss of this call may commit in its post-stage,
+  /// or a packet hits while the earlier misses outnumber the free slots (a
+  /// commit at capacity evicts a live entry, maybe that one).  Resolution
   /// stops before that packet; the caller walks and posts the prefix, then
   /// calls again for the rest, as scalar pre()/post() pairs would see it.
-  /// The check runs on misses only.  Lookups are counted once per call.
+  /// Both checks only run once the call has seen a miss.  Lookups are
+  /// counted once per call.
   /// Same thread-safety as pre().
   uint32_t pre_burst(const uint8_t* const* pkts, proto::ParseInfo* pis, uint32_t n,
                      uint64_t now_ms, Hit* hits);
@@ -197,8 +200,11 @@ class Conntrack {
   uint32_t bucket_of(uint64_t h) const { return static_cast<uint32_t>(h) & bucket_mask_; }
   uint32_t shard_of(uint32_t bucket) const { return bucket >> shard_shift_; }
 
-  /// pre()'s work once the tuple is extracted: chain walk from a fresh
-  /// bucket-head load, TCP transition, stamps, auto-commit.  True on a hit.
+  /// The live chain link keyed on `t` (hash `h`), walked from a fresh
+  /// bucket-head load; no side effects.
+  const HashLink* find_link(uint64_t h, const FiveTuple& t) const;
+  /// pre()'s work once the tuple is extracted: find_link(), TCP transition,
+  /// stamps, auto-commit.  True on a hit.
   bool resolve(const uint8_t* pkt, proto::ParseInfo& pi, uint64_t h, uint64_t now_ms,
                Hit& hit);
   void count_lookups(uint64_t lookups, uint64_t hits);
@@ -209,6 +215,7 @@ class Conntrack {
 
   Entry* commit(const FiveTuple& t, uint8_t flags, uint32_t profile, uint64_t now_ms);
   bool alloc_slot(uint32_t* slot);
+  uint32_t free_slots();
   void free_slot(uint32_t slot);
   /// Unlinks + retires `slot` if its generation still matches and the entry
   /// is alive; `expire_check` additionally requires the idle deadline to

@@ -797,6 +797,49 @@ TEST(CtBurst, SeededStreamProcessBurstMatchesScalar) {
   }
 }
 
+// At capacity a rule-driven commit force-evicts a live entry, which may be
+// one a later packet of the same burst hits.  Four connections fill the
+// table; the SYN of a fifth then evicts one of them, and the four replies
+// that follow in the same burst must see that eviction (the evicted one is
+// dropped as invalid), as they do one by one.
+TEST(CtBurst, FullTableEvictionMatchesScalar) {
+  const uc::CtUseCase c = manual(uc::make_ct_firewall(/*capacity=*/4));
+  const auto syn = [](uint32_t k) {
+    return make_packet(tcp_with_flags(kClient + k, kServer, 40000, 443, proto::kTcpFlagSyn),
+                       uc::kCtInsidePort);
+  };
+  std::vector<net::Packet> burst_trace = {syn(4)};
+  for (uint32_t k = 0; k < 4; ++k)
+    burst_trace.push_back(make_packet(tcp_with_flags(kServer, kClient + k, 443, 40000,
+                                                     proto::kTcpFlagSyn | proto::kTcpFlagAck),
+                                      uc::kCtOutsidePort));
+
+  Eswitch scalar(cfg_for(c));
+  Eswitch burst(cfg_for(c));
+  scalar.install(c.pipeline);
+  burst.install(c.pipeline);
+  for (uint32_t k = 0; k < 4; ++k) {
+    net::Packet a = syn(k), b = syn(k);
+    ASSERT_EQ(scalar.process(a), Verdict::output(uc::kCtOutsidePort));
+    ASSERT_EQ(burst.process(b), Verdict::output(uc::kCtOutsidePort));
+  }
+  std::vector<net::Packet> sp = burst_trace, bp = burst_trace;
+  std::vector<Verdict> sv;
+  for (net::Packet& p : sp) sv.push_back(scalar.process(p));
+  std::vector<net::Packet*> ptrs;
+  for (net::Packet& p : bp) ptrs.push_back(&p);
+  std::vector<Verdict> bv(ptrs.size());
+  burst.process_burst(ptrs.data(), static_cast<uint32_t>(ptrs.size()), bv.data());
+
+  EXPECT_EQ(std::count(sv.begin(), sv.end(), Verdict::drop()), 1);
+  for (size_t i = 0; i < sv.size(); ++i) EXPECT_EQ(bv[i], sv[i]) << "packet " << i;
+  const Conntrack::Stats a = scalar.conntrack()->stats();
+  const Conntrack::Stats b = burst.conntrack()->stats();
+  EXPECT_EQ(a.evictions_forced, 1u);
+  EXPECT_EQ(b.evictions_forced, a.evictions_forced);
+  EXPECT_EQ(b.hits, a.hits);
+}
+
 // --- concurrent churn --------------------------------------------------------
 
 // Workers hammer a small table with short-timeout flows while expiry,

@@ -164,5 +164,48 @@ TEST(TupleSpace, PropertyMatchesLinearScan) {
   }
 }
 
+// load() is the bulk form of add(): same tuples, same chains, same answers
+// (visited tuples included, so the tuple order matches too).  Ranks arrive
+// shuffled and masked keys repeat, so chains and tuple sorting are exercised.
+TEST(TupleSpace, LoadEqualsAddInTurn) {
+  Rng rng(37);
+  for (int round = 0; round < 20; ++round) {
+    TupleSpace<int> added;
+    std::vector<TupleSpace<int>::Entry> entries;
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.below(200));
+    std::vector<uint32_t> ranks(n);
+    for (uint32_t i = 0; i < n; ++i) ranks[i] = i;
+    for (uint32_t i = n - 1; i > 0; --i) std::swap(ranks[i], ranks[rng.below(i + 1)]);
+    for (uint32_t i = 0; i < n; ++i) {
+      Match m;
+      if (rng.chance(1, 2)) m.set(FieldId::kIpDst, rng.below(4) << 8, 0xFFFFFF00);
+      if (rng.chance(1, 3)) m.set(FieldId::kIpSrc, rng.below(4));
+      if (rng.chance(1, 2)) m.set(FieldId::kTcpDst, 80 + rng.below(3));
+      added.add(m, ranks[i], static_cast<int>(i));
+      entries.push_back({m, ranks[i], static_cast<int>(i)});
+    }
+    TupleSpace<int> loaded;
+    loaded.load(std::move(entries));
+    ASSERT_EQ(loaded.size(), added.size());
+    ASSERT_EQ(loaded.num_tuples(), added.num_tuples());
+
+    for (int q = 0; q < 200; ++q) {
+      auto p = make_packet(test::tcp_spec(static_cast<uint32_t>(rng.below(4)),
+                                          static_cast<uint32_t>(rng.below(4) << 8),
+                                          7, static_cast<uint16_t>(80 + rng.below(4))));
+      auto pi = parse_packet(p);
+      TupleVisitStats va, vl;
+      const auto* a = added.lookup(p.data(), pi, &va);
+      const auto* l = loaded.lookup(p.data(), pi, &vl);
+      ASSERT_EQ(a == nullptr, l == nullptr);
+      if (a != nullptr) {
+        ASSERT_EQ(l->rank, a->rank);
+        ASSERT_EQ(l->value, a->value);
+      }
+      ASSERT_EQ(vl.tuples_visited, va.tuples_visited);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace esw

@@ -1,13 +1,16 @@
-// Scalar-vs-burst datapath comparison.  Not a paper figure: this bench
-// guards the burst-mode fast path — batched parse with header prefetch,
-// per-burst trampoline/miss-policy hoisting, per-burst stat flush, and the
-// one-packet-ahead template prefetch.
+// Burst-size datapath comparison.  Not a paper figure: this bench guards the
+// burst-mode fast path — batched parse with header prefetch, one plan load
+// per chunk, per-chunk stat flush, and the one-packet-ahead template
+// prefetch.  process() is a burst of one through the same walk, so the
+// modes differ in how many packets share a chunk, not in the walk:
 //
 // Three modes per point, emitted as separate points of BENCH_burst.json:
-//   mode:1  burst harness + process_burst   (the production shape)
-//   mode:2  burst harness + scalar process  (isolates the datapath batching:
-//           same loader/dispatch costs as mode 1, per-packet walk inside)
-//   mode:0  scalar harness + scalar process (the pre-burst reference)
+//   mode:1  burst harness + process_burst   (bursts of 32, the production
+//           shape)
+//   mode:2  burst harness + process() per packet (bursts of one: same
+//           loader/dispatch costs as mode 1, so 1 vs 2 isolates what a
+//           32-packet chunk buys inside the datapath)
+//   mode:0  per-packet harness + process()  (bursts of one end to end)
 //
 // Two workloads:
 //   BM_Burst_L2 — Fig. 10 L2 (1K-entry MAC table, hash template, cache-warm):

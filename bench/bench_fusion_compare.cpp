@@ -1,26 +1,29 @@
-// Plan-walk-vs-per-hop-walk-vs-interpreter datapath comparison.  Not a paper
-// figure: this bench guards the burst walk's published plan — pinned impls,
-// goto targets resolved to stages at plan time, cross-table prefetch, and
-// (jit/fusion.hpp) one machine function for the direct-code members.
+// Fused-bursts vs bursts-of-one vs interpreter datapath comparison.  Not a
+// paper figure: this bench guards the published plan every packet walks —
+// pinned impls, goto targets resolved to stages at plan time, cross-table
+// prefetch, and (jit/fusion.hpp) one machine function for the direct-code
+// members.
 //
 // Three modes per point, emitted as separate points of BENCH_fusion.json and
 // tagged with the `fused` counter (1 = the plan carries its machine program):
-//   mode:2  burst harness + plan walk with fusion on   (the production shape)
-//   mode:1  burst harness + scalar process() per packet, fusion off: the
-//           per-table JIT templates behind per-hop trampoline dispatch — the
-//           walk the plan replaces
-//   mode:0  burst harness + plan walk, interpreter      (JIT off entirely)
+//   mode:2  burst harness + bursts of 32, fusion on   (the production shape)
+//   mode:1  burst harness + process() per packet, fusion off: bursts of one
+//           through the same plan walk with the per-table JIT templates, so
+//           2 vs 1 measures a 32-packet chunk (plan load, parse and stat
+//           flush amortized, one-ahead prefetch) plus the machine program
+//   mode:0  burst harness + bursts of 32, interpreter (JIT off entirely)
 //
 // Three workloads:
-//   BM_Fusion_L2 — Fig. 10 L2 (1K-entry MAC table): single table, so the plan
-//     can only shave per-hop dispatch; mode 2 vs 1 is a non-regression check
+//   BM_Fusion_L2 — Fig. 10 L2 (1K-entry MAC table): single table, so there
+//     is no inter-table walk to fuse; mode 2 vs 1 is a non-regression check
 //     (CI: ≥ 0.95×).
 //   BM_Fusion_L3 — Fig. 11 L3 at 100K prefixes: single LPM table whose
 //     lookups miss the private caches; the table body dominates, so this too
 //     is a non-regression check (CI: ≥ 0.95×).
 //   BM_Fusion_Gateway — Fig. 13 access gateway (10 CE × 20 users, 10K
-//     prefixes): the paper's deepest goto chain, where plan-resolved
-//     inter-table dispatch and cross-table prefetch carry the win; CI asserts
+//     prefixes): the paper's deepest goto chain, where per-chunk amortization
+//     and cross-table prefetch carry the win (no table compiles to direct
+//     code, so there is no machine program to fuse); CI asserts
 //     pps(2) ≥ 1.15 × pps(1).
 #include <benchmark/benchmark.h>
 
@@ -41,13 +44,13 @@ void fusion_point(benchmark::State& state, const uc::UseCase& uc,
     sw.install(uc.pipeline);
     auto opts = bench::measure_opts(n_flows);
     opts.min_seconds = 0.15;
-    const net::BurstFn per_hop = [&](net::Packet* const* pkts, uint32_t n) {
+    const net::BurstFn singles = [&](net::Packet* const* pkts, uint32_t n) {
       for (uint32_t i = 0; i < n; ++i) {
         flow::Verdict v = sw.process(*pkts[i]);
         benchmark::DoNotOptimize(v);
       }
     };
-    const net::BurstFn walk = mode == 1 ? per_hop : uc::burst_fn(sw);
+    const net::BurstFn walk = mode == 1 ? singles : uc::burst_fn(sw);
     // Best-of-three passes: the CI ratio gates compare modes of the same
     // workload, and scheduler noise only ever subtracts, so the max
     // envelope is the steady-state number the contract is about.

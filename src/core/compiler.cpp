@@ -166,10 +166,6 @@ FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
     add_stage(goto_map[t.id()], t.miss_policy());
     for (const int32_t sub : sub_slots[t.id()]) add_stage(sub, t.miss_policy());
   }
-  ESW_CHECK_MSG(dp.start() >= 0 &&
-                    static_cast<size_t>(dp.start()) < fused->stage_of_slot.size() &&
-                    fused->stage_of_slot[static_cast<size_t>(dp.start())] == 0,
-                "start slot is not the first table");
   fingerprint = fnv1a64(fingerprint, static_cast<uint64_t>(fused->stages.size()));
   program_key = fnv1a64(program_key, static_cast<uint64_t>(fused->stages.size()));
   fused->fingerprint = fingerprint;

@@ -50,13 +50,14 @@ struct FusionResult {
   bool machine_failed = false;
 };
 
-/// Builds the burst walk's plan for the pipeline's current compiled state.
+/// Builds the packet walk's plan for the pipeline's current compiled state.
 /// Every non-empty pipeline gets one: stages are the logical tables in id
 /// order, each followed by its decomposition sub-slots (`sub_slots[id]`,
 /// kept in topological order by the caller), so the control plane's forward
 /// gotos (`goto_table > table_id`) make every transition go to a later
-/// stage.  Every table must have a published impl behind its slot and the
-/// datapath start must be the first table (checked).  With `want_program`
+/// stage, and stage 0, where every walk starts, is the first table.  Every
+/// table must have a published impl behind its slot (checked).  With
+/// `want_program`
 /// (cfg.enable_fusion, outside a re-fusion retry window) and the JIT on,
 /// the direct-code stages are compiled into one machine program
 /// (jit::FusedProgram); otherwise the plan has none.

@@ -1,7 +1,6 @@
 #include "core/datapath.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -19,7 +18,7 @@ using common::counter_bump;  // single-writer worker stat blocks
 /// Global-stat outcome of a verdict.  A controller verdict covers both the
 /// miss-policy punt and an explicit controller action; flood counts as
 /// output.  Folding the bookkeeping over the verdict keeps every exit path
-/// (miss, action set, loop guard, empty datapath) on one counting rule.
+/// (miss, action set, plan guard) on one counting rule.
 void count_verdict(const flow::Verdict& v, CompiledDatapath::Stats& st) {
   switch (v.kind) {
     case flow::Verdict::Kind::kOutput:
@@ -44,7 +43,7 @@ CompiledDatapath::CompiledDatapath()
 
 // --- control plane -----------------------------------------------------------
 
-int32_t CompiledDatapath::add_slot(flow::FlowTable::MissPolicy miss) {
+int32_t CompiledDatapath::add_slot() {
   int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -54,7 +53,6 @@ int32_t CompiledDatapath::add_slot(flow::FlowTable::MissPolicy miss) {
     ESW_CHECK_MSG(slot < kMaxSlots, "out of trampoline slots");
     n_slots_.store(slot + 1, std::memory_order_release);
   }
-  slots_[slot].miss.store(miss, std::memory_order_relaxed);
   return slot;
 }
 
@@ -85,10 +83,10 @@ void CompiledDatapath::set_impl(int32_t slot, std::unique_ptr<CompiledTable> imp
 }
 
 void CompiledDatapath::retire_slot(int32_t slot) {
-  // The impl stays *published*: a reader mid-burst on the pre-swap root may
-  // still jump here and must find the old table, not a nullptr miss (the
-  // old-or-new verdict guarantee).  The slot only becomes unreachable for
-  // bursts that start after the swap, so pointer, object and slot id are all
+  // The impl stays live: a chunk still walking the pre-swap plan may reach
+  // it and must find the old table (the old-or-new verdict guarantee), and
+  // flushes its stats into this slot.  The slot only becomes unreachable for
+  // chunks that load a later plan, so pointer, object and slot id are all
   // reclaimed together once the grace period ends (recycle_slot).
   retired_slots_.retire(slot, domain_.current_epoch());
 }
@@ -133,17 +131,12 @@ void CompiledDatapath::set_fused(std::unique_ptr<FusedPipeline> fused) {
   fused_live_ = std::move(fused);
 }
 
-void CompiledDatapath::set_miss_policy(int32_t slot, flow::FlowTable::MissPolicy miss) {
-  slots_[slot].miss.store(miss, std::memory_order_relaxed);
-}
-
 void CompiledDatapath::reset() {
   ESW_CHECK_MSG(!domain_.has_workers(),
                 "reset()/install() is stop-the-world: unregister workers first");
   const int32_t n = n_slots_.load(std::memory_order_relaxed);
   for (int32_t i = 0; i < n; ++i) {
     slots_[i].impl.store(nullptr, std::memory_order_relaxed);
-    slots_[i].miss.store(flow::FlowTable::MissPolicy::kDrop, std::memory_order_relaxed);
     slots_[i].lookups.store(0, std::memory_order_relaxed);
     slots_[i].hits.store(0, std::memory_order_relaxed);
     slots_[i].misses.store(0, std::memory_order_relaxed);
@@ -156,7 +149,6 @@ void CompiledDatapath::reset() {
   retired_impls_.clear();   // no workers: immediate free is safe
   retired_slots_.clear();
   retired_fused_.clear();
-  start_.store(-1, std::memory_order_release);
   clear_stats();
 }
 
@@ -184,114 +176,30 @@ void CompiledDatapath::unregister_worker(Worker* w) {
 // --- datapath ----------------------------------------------------------------
 
 flow::Verdict CompiledDatapath::process(Worker& w, net::Packet& pkt, MemTrace* trace) {
-  // Entry is a quiescent point: nothing from a previous packet survives here.
-  if (w.epoch_ != nullptr) domain_.quiescent(*w.epoch_);
-
-  Stats local;
-  local.packets = 1;
-  const int32_t start = start_.load(std::memory_order_acquire);
-  if (ESW_UNLIKELY(start < 0)) {
-    counter_bump(w.stats_.packets, 1);
-    counter_bump(w.stats_.drops, 1);
-    return flow::Verdict::drop();
-  }
-
-  proto::ParseInfo pi;
-  proto::parse(pkt.data(), pkt.len(), plan_.load(std::memory_order_acquire), pi);
-  pi.in_port = pkt.in_port();
-  if (trace != nullptr) trace->touch(pkt.data(), 64);  // header cache line(s)
-
-  // Conntrack pre-stage: stamp pi.ct_state before any table can match it.
-  state::Conntrack* const ct = ct_.load(std::memory_order_acquire);
-  state::Conntrack::Hit ct_hit;
-  uint64_t ct_now = 0;
-  if (ESW_UNLIKELY(ct != nullptr)) {
-    ct_now = ct->now_ms();
-    ct_hit = ct->pre(pkt.data(), pi, ct_now);
-  }
-
-  // Hot-loop discipline: per-table counters accumulate in a local window and
-  // flush on return instead of read-modify-writing the shared slot counters
-  // two or three times per hop.  The window-full check lives at the outer
-  // loop seam, not inside the per-hop walk — real pipelines finish within
-  // one window and never pay the guard branch; only pathological goto
-  // chains (bounded by kMaxHops, the policy every walk flavor shares) take
-  // another lap.
-  struct Visit {
-    int32_t slot;
-    bool hit;
-  };
-  Visit visited[16];
-  uint32_t nv = 0;
-  const auto flush_visits = [&] {
-    for (uint32_t i = 0; i < nv; ++i) {
-      Slot& s = slots_[visited[i].slot];
-      counter_add(s.lookups, 1);
-      counter_add(visited[i].hit ? s.hits : s.misses, 1);
-    }
-    nv = 0;
-  };
-  const auto finish = [&](flow::Verdict v) {
-    flush_visits();
-    count_verdict(v, local);
-    counter_bump(w.stats_.packets, local.packets);
-    counter_bump(w.stats_.outputs, local.outputs);
-    counter_bump(w.stats_.drops, local.drops);
-    counter_bump(w.stats_.to_controller, local.to_controller);
-    return v;
-  };
-
-  flow::ActionSetBuilder action_set;
-  int32_t slot = start;
-  for (int hops = 0; hops < kMaxHops;) {
-    // One stats window per lap; the flush sits between laps.
-    const int lap_end =
-        std::min(hops + static_cast<int>(std::size(visited)), kMaxHops);
-    for (; hops < lap_end; ++hops) {
-      Slot& s = slots_[slot];
-      const CompiledTable* impl = s.impl.load(std::memory_order_acquire);
-      const uint64_t r =
-          impl != nullptr ? impl->lookup(pkt.data(), pi, trace) : jit::kMissResult;
-      if (ESW_UNLIKELY(r == jit::kMissResult)) {
-        visited[nv++] = {slot, false};
-        return finish(s.miss.load(std::memory_order_relaxed) ==
-                              flow::FlowTable::MissPolicy::kController
-                          ? flow::Verdict::controller()
-                          : flow::Verdict::drop());
-      }
-      visited[nv++] = {slot, true};
-      int32_t action = -1, next = -1;
-      jit::unpack_result(r, action, next);
-      if (action >= 0) action_set.merge(actions_.get(static_cast<uint32_t>(action)));
-      if (next < 0) {
-        // Conntrack post-stage: commit + NAT rewrite before the action set
-        // runs, so set-fields and output see the translated packet.
-        if (ESW_UNLIKELY(ct != nullptr))
-          ct->post(ct_hit, action_set.ct_commit(), action_set.ct_profile(),
-                   pkt.data(), pi, ct_now);
-        return finish(action_set.execute(pkt, pi));
-      }
-      ESW_DCHECK(next < num_slots());
-      slot = next;
-    }
-    flush_visits();
-  }
-  return finish(flow::Verdict::drop());  // pathological loop guard
+  net::Packet* const one = &pkt;
+  flow::Verdict v;
+  if (ESW_UNLIKELY(trace != nullptr))
+    process_chunk<1, true>(w, &one, 1, &v, trace);
+  else
+    process_chunk<1, false>(w, &one, 1, &v, nullptr);
+  return v;
 }
 
 void CompiledDatapath::process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                                      flow::Verdict* out) {
   while (n > net::kBurstSize) {
-    process_chunk(w, pkts, net::kBurstSize, out);
+    process_chunk<net::kBurstSize, false>(w, pkts, net::kBurstSize, out, nullptr);
     pkts += net::kBurstSize;
     out += net::kBurstSize;
     n -= net::kBurstSize;
   }
-  if (n > 0) process_chunk(w, pkts, n, out);
+  if (n > 0) process_chunk<net::kBurstSize, false>(w, pkts, n, out, nullptr);
 }
 
+template <uint32_t kCap, bool kTraced>
 void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
-                                     flow::Verdict* out) {
+                                     flow::Verdict* out, MemTrace* mt) {
+  ESW_DCHECK(n <= kCap);
   // Chunk entry is the worker's quiescent point: nothing loaded during the
   // previous chunk survives here, so a plan (and the impls it pins) retired
   // before the writer observed this tick can never be loaded again.
@@ -317,7 +225,7 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   // point, so no Hit pointer from a previous chunk can survive into the
   // expiry/reclaim work poll() does.
   state::Conntrack* const ct = ct_.load(std::memory_order_acquire);
-  state::Conntrack::Hit ct_hits[net::kBurstSize];
+  state::Conntrack::Hit ct_hits[kCap];
   uint64_t ct_now = 0;
   if (ESW_UNLIKELY(ct != nullptr)) {
     ct_now = ct->now_ms();
@@ -327,13 +235,14 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
   // Parse the whole chunk, the next frame's header line in flight while the
   // current one parses.
   const proto::ParserPlan plan = plan_.load(std::memory_order_acquire);
-  proto::ParseInfo pis[net::kBurstSize];
-  const uint8_t* frames[net::kBurstSize];
+  proto::ParseInfo pis[kCap];
+  const uint8_t* frames[kCap];
   for (uint32_t i = 0; i < n; ++i) {
     if (i + 1 < n) esw_prefetch(pkts[i + 1]->data());
     frames[i] = pkts[i]->data();
     proto::parse(frames[i], pkts[i]->len(), plan, pis[i]);
     pis[i].in_port = pkts[i]->in_port();
+    if constexpr (kTraced) mt->touch(frames[i], 64);  // header cache line(s)
   }
 
   // Per-stage stat deltas.  Every entry is zero between chunks; a stage's
@@ -354,15 +263,16 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
 
   // Walk state: cur >= 0 is the packet's stage; -1 = path end reached
   // (finalized in packet order below); -2 = verdict already in vd.
-  flow::ActionSetBuilder asb[net::kBurstSize];
-  int32_t cur[net::kBurstSize];
-  flow::Verdict vd[net::kBurstSize];
+  flow::ActionSetBuilder asb[kCap];
+  int32_t cur[kCap];
+  flow::Verdict vd[kCap];
   std::fill_n(cur, n, 0);  // every walk starts at stage 0, the first table
   const FusedPipeline::Stage& ss = fp->stages[0];
 
   // The chunk runs as one segment [lo, hi) unless the conntrack pre-stage
   // ends a prefix early: a packet whose connection an earlier packet's
-  // post-stage may commit waits for that commit, as in scalar process().
+  // post-stage may commit waits for that commit, as it would if the packets
+  // ran one at a time.
   for (uint32_t lo = 0, hi = 0; lo < n; lo = hi) {
     // The conntrack pre-stage — ct_state must be stamped before any lookup can
     // match it — over the segment at once, so its connection lookups take
@@ -389,7 +299,9 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
         proto::ParseInfo& pi = pis[i];
         const FusedPipeline::Stage& s = fp->stages[cs];
         int32_t ts;  // next stage
-        if (s.entry != nullptr) {
+        // A traced walk takes every stage through its C++ lookup: machine
+        // code reports no memory accesses.
+        if (!kTraced && s.entry != nullptr) {
           // Machine subgraph: runs fused members until the walk completes,
           // misses, or exits toward a C++ stage.  The trace lists the action
           // sets hit and the stages entered after this one, in walk order:
@@ -425,7 +337,7 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
         } else {
           // C++ stage: pinned impl, packed-result decode.
           TableStats& d = lookup_at(static_cast<uint32_t>(cs));
-          const uint64_t r = s.impl->lookup(pkt.data(), pi);
+          const uint64_t r = s.impl->lookup(pkt.data(), pi, kTraced ? mt : nullptr);
           if (ESW_UNLIKELY(r == jit::kMissResult)) {
             ++d.misses;
             vd[i] = s.miss == flow::FlowTable::MissPolicy::kController
@@ -463,8 +375,8 @@ void CompiledDatapath::process_chunk(Worker& w, net::Packet* const* pkts, uint32
     }
 
     // Finalize in packet order: conntrack post-stage + action execution for
-    // completed packets — the same ordering and side effects as n scalar
-    // process() calls, which finish packet i before touching packet i+1.
+    // completed packets — the same ordering and side effects as n bursts of
+    // one, which finish packet i before touching packet i+1.
     for (uint32_t i = lo; i < hi; ++i) {
       flow::Verdict v = flow::Verdict::drop();
       if (cur[i] == -1) {

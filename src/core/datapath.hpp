@@ -1,10 +1,12 @@
 // The compiled datapath: an array of trampoline slots (one per compiled
-// table), the shared action-set registry, a parser plan and the per-packet
-// processing loop.
+// table), the shared action-set registry, a parser plan, the published
+// pipeline plan and the one packet walk over it.
 //
-// Trampolines realize §3.3/§3.4: a goto_table jump resolves through an atomic
-// slot, so a table can be rebuilt side by side and inserted "by atomically
-// redirecting all referring goto_table jumps to the address of the new code".
+// Trampolines realize §3.3/§3.4: a goto_table jump resolves through a slot,
+// so a table can be rebuilt side by side and inserted "by atomically
+// redirecting all referring goto_table jumps to the address of the new code"
+// — the writer swaps the slot, then republishes the plan that pins every
+// slot's impl, and the next chunk walks the new graph.
 //
 // Concurrency model (one writer, N packet workers):
 //   * the control thread is the only mutator — it swaps trampolines
@@ -18,10 +20,10 @@
 //     once every registered worker has ticked past the retirement epoch —
 //     the old caller-coordinated `collect()` contract ("call when no
 //     process() is in flight") is gone;
-//   * the legacy `process()`/`process_burst()` entry points run in an
-//     implicit owner context: they are for single-threaded use (the control
-//     thread itself, or a thread that is the only one touching the object),
-//     which is trivially quiescent at every writer step.
+//   * the `process()`/`process_burst()` entry points without a Worker run in
+//     an implicit owner context: they are for single-threaded use (the
+//     control thread itself, or a thread that is the only one touching the
+//     object), which is trivially quiescent at every writer step.
 #pragma once
 
 #include <atomic>
@@ -100,12 +102,6 @@ class CompiledDatapath {
     uint64_t pending = 0;    // retired, grace period not yet over
   };
 
-  /// Loop bound of the scalar process() walk: a packet that has not reached
-  /// a verdict after this many table hops is dropped.  The plan walk needs
-  /// no hop count — its transitions must go forward, so it ends within one
-  /// round per stage, and a backward or unresolvable transition takes the
-  /// same drop.
-  static constexpr int kMaxHops = 8192;
   /// Tables whose resident bytes fit in the private caches are skipped by
   /// the prefetch hints: the hint recomputes the lookup key (hash templates
   /// pay the key hash twice), which only amortizes when the lookup would
@@ -149,7 +145,7 @@ class CompiledDatapath {
   // --- control plane (single writer) ---------------------------------------
 
   /// Allocates (or recycles) a trampoline slot; returns its internal id.
-  int32_t add_slot(flow::FlowTable::MissPolicy miss);
+  int32_t add_slot();
 
   /// Swaps the slot's implementation (release order); the displaced one is
   /// retired into the epoch domain and freed by a later reclaim().
@@ -166,11 +162,8 @@ class CompiledDatapath {
   /// immediately.  Returns the number of objects freed.
   uint64_t reclaim();
 
-  void set_miss_policy(int32_t slot, flow::FlowTable::MissPolicy miss);
-  void set_start(int32_t slot) { start_.store(slot, std::memory_order_release); }
-
-  /// Publishes the pipeline plan bursts walk (release); nullptr (an empty
-  /// pipeline) makes every burst drop.  The displaced plan is retired into
+  /// Publishes the pipeline plan every packet walks (release); nullptr (an
+  /// empty pipeline) makes every packet drop.  The displaced plan is retired into
   /// the epoch domain — a worker mid-chunk keeps running the old graph until
   /// its next tick, like any impl swap.  The writer must republish *before*
   /// reclaim() whenever an impl referenced by the published plan was
@@ -211,17 +204,18 @@ class CompiledDatapath {
 
   // --- datapath (readers) ---------------------------------------------------
 
-  /// One packet through the compiled pipeline in the owner context.  This is
-  /// the reference implementation: process_burst() must be observably
-  /// identical to n calls of process() (verdicts, packet mutations,
-  /// per-table and global stats).
+  /// One packet through the compiled pipeline in the owner context.
   flow::Verdict process(net::Packet& pkt, MemTrace* trace = nullptr) {
     return process(workers_[0], pkt, trace);
   }
-  /// Worker-context scalar path: per-hop acquire trampoline loads, one epoch
-  /// tick per packet.  Each Worker is single-threaded; concurrency comes
-  /// from running *different* workers on different threads (run-to-completion
-  /// sharding), never from sharing one context.
+  /// A burst of one: the same walk as process_burst(), so n process() calls
+  /// and one n-packet burst are the same code run over different chunkings
+  /// (the declarative pipeline, flow::Pipeline, is the independent
+  /// reference).  With `trace`, every stage runs its C++ lookup and reports
+  /// the cache lines it touches, after the packet's header line.  Each
+  /// Worker is single-threaded; concurrency comes from running *different*
+  /// workers on different threads (run-to-completion sharding), never from
+  /// sharing one context.
   flow::Verdict process(Worker& w, net::Packet& pkt, MemTrace* trace = nullptr);
 
   /// Burst fast path in the owner context; see the Worker overload.
@@ -238,7 +232,9 @@ class CompiledDatapath {
   /// the verdict counters once.  The plan's pinned impls stay valid for the
   /// whole chunk because a displaced impl survives at least until every
   /// worker's next tick (epoch grace period).  With no plan published (empty
-  /// pipeline) every packet drops.
+  /// pipeline) every packet drops.  Observably identical to n process()
+  /// calls (verdicts, packet mutations, per-table and global stats,
+  /// conntrack state).
   void process_burst(Worker& w, net::Packet* const* pkts, uint32_t n,
                      flow::Verdict* out);
 
@@ -251,7 +247,6 @@ class CompiledDatapath {
     return slots_[slot].impl.load(std::memory_order_acquire);
   }
   int32_t num_slots() const { return n_slots_.load(std::memory_order_acquire); }
-  int32_t start() const { return start_.load(std::memory_order_acquire); }
   proto::ParserPlan plan() const { return plan_.load(std::memory_order_acquire); }
 
   flow::ActionSetRegistry& actions() { return actions_; }
@@ -289,7 +284,6 @@ class CompiledDatapath {
  private:
   struct Slot {
     std::atomic<CompiledTable*> impl{nullptr};
-    std::atomic<flow::FlowTable::MissPolicy> miss{flow::FlowTable::MissPolicy::kDrop};
     // Shared per-slot counters: workers flush burst-local deltas with relaxed
     // fetch_add (a handful per burst), readers aggregate with relaxed loads.
     std::atomic<uint64_t> lookups{0};
@@ -297,8 +291,13 @@ class CompiledDatapath {
     std::atomic<uint64_t> misses{0};
   };
 
+  /// The packet walk over one chunk of n <= kCap packets; kCap sizes the
+  /// walk's scratch, so a burst of one does not pay for 32 packets' state.
+  /// kTraced records the chunk's memory accesses into `mt` (process() with a
+  /// trace); the untraced walk carries no trace checks.
+  template <uint32_t kCap, bool kTraced>
   void process_chunk(Worker& w, net::Packet* const* pkts, uint32_t n,
-                     flow::Verdict* out);
+                     flow::Verdict* out, MemTrace* mt);
   std::unique_ptr<CompiledTable> take_live(CompiledTable* old);
   void retire_impl(CompiledTable* old);
   void recycle_slot(int32_t slot);
@@ -309,7 +308,6 @@ class CompiledDatapath {
   std::vector<std::unique_ptr<CompiledTable>> live_;
   flow::ActionSetRegistry actions_;
   std::atomic<proto::ParserPlan> plan_{proto::ParserPlan::full()};
-  std::atomic<int32_t> start_{-1};
 
   common::EpochDomain domain_;
   common::RetireList<std::unique_ptr<CompiledTable>> retired_impls_;

@@ -58,9 +58,9 @@ void Eswitch::compile_all() {
 
   // Root slots first so any goto resolves, then table bodies.
   for (const FlowTable& t : pipeline_.tables())
-    goto_map_[t.id()] = dp_.add_slot(t.miss_policy());
+    goto_map_[t.id()] = dp_.add_slot();
   for (const FlowTable& t : pipeline_.tables()) rebuild_logical(t.id());
-  refresh_start_and_plan();
+  refresh_parser_plan();
   fusion_retry_.reset();  // the old program's degradation owes us nothing
   refresh_fusion();
   installing_ = false;
@@ -109,7 +109,6 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
   const int32_t root = goto_map_[id];
   ESW_CHECK(root >= 0);
   BuildCtx ctx{dp_.actions(), goto_map_};
-  dp_.set_miss_policy(root, t->miss_policy());
 
   ++update_stats_.table_rebuilds;
   // Template re-selection accounting: a churn-path rebuild whose re-analysis
@@ -144,7 +143,7 @@ void Eswitch::rebuild_logical(uint8_t id, bool fresh_table) {
       std::vector<int32_t> slot_of(d.tables.size(), -1);
       slot_of[0] = root;
       for (size_t i = 1; i < d.tables.size(); ++i)
-        slot_of[i] = dp_.add_slot(t->miss_policy());
+        slot_of[i] = dp_.add_slot();
 
       // Children first, root last (reverse topological order): readers that
       // enter through the old root never see a half-published chain.
@@ -227,12 +226,10 @@ void Eswitch::maybe_retry_jit() {
                                           cfg_.jit_retry_base_updates));
   r.next_at = update_seq_ + r.backoff;
   rebuild_logical(static_cast<uint8_t>(pick));
-  refresh_start_and_plan();
+  refresh_parser_plan();
 }
 
-void Eswitch::refresh_start_and_plan() {
-  const FlowTable* first = pipeline_.first_table();
-  dp_.set_start(first != nullptr ? goto_map_[first->id()] : -1);
+void Eswitch::refresh_parser_plan() {
   dp_.set_plan(compute_parser_plan(pipeline_, cfg_));
 }
 
@@ -326,7 +323,7 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
     return;  // delete on a never-created table: no-op
 
   if (new_table) {
-    goto_map_[fm.table_id] = dp_.add_slot(pipeline_.table(fm.table_id).miss_policy());
+    goto_map_[fm.table_id] = dp_.add_slot();
     if (dirty != nullptr) {
       // Batch path: the slot exists (gotos resolve; readers miss on its null
       // impl until commit), the one build runs at commit from the batch's
@@ -335,7 +332,7 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
       return;
     }
     rebuild_logical(fm.table_id, /*fresh_table=*/true);
-    refresh_start_and_plan();
+    refresh_parser_plan();
     return;
   }
 
@@ -349,14 +346,14 @@ void Eswitch::apply_one(const FlowMod& fm, DirtySet* dirty) {
     return;
   }
   rebuild_logical(fm.table_id);
-  refresh_start_and_plan();
+  refresh_parser_plan();
 }
 
 /// Batch commit: one rebuild per dirty table (from the final pipeline state),
-/// one start/plan refresh.
+/// one parser-plan refresh.
 void Eswitch::commit_batch(const DirtySet& dirty) {
   for (const auto& [id, fresh] : dirty) rebuild_logical(id, fresh);
-  if (!dirty.empty()) refresh_start_and_plan();
+  if (!dirty.empty()) refresh_parser_plan();
 }
 
 void Eswitch::apply(const FlowMod& fm) {

@@ -8,8 +8,9 @@
 //   * the direct-code template rebuilds unconditionally;
 //   * prerequisite violations rebuild the table under the next template in
 //     Fig. 4's fallback chain (via re-analysis);
-//   * rebuilds happen side by side and are published with one atomic
-//     trampoline swap, giving per-flow-table update granularity;
+//   * rebuilds happen side by side and are published with one trampoline
+//     swap and one atomic plan republish, giving per-flow-table update
+//     granularity;
 //   * batches are transactional — validated against a scratch pipeline first,
 //     so a bad mod in the middle leaves no partial state behind.
 //
@@ -73,18 +74,19 @@ class Eswitch {
   /// schedule as apply_batch; never throws for per-mod failures.
   std::vector<ModStatus> apply_batch_partial(const std::vector<flow::FlowMod>& fms);
 
-  /// Datapath fast path (scalar reference implementation, owner context).
+  /// One packet, owner context: a burst of one through the same plan walk
+  /// as process_burst (see CompiledDatapath::process).
   flow::Verdict process(net::Packet& pkt, MemTrace* trace = nullptr) {
     return dp_.process(pkt, trace);
   }
-  /// Worker-context scalar path (per-hop trampoline reload, per-packet tick).
+  /// Worker-context burst of one (one epoch tick per packet).
   flow::Verdict process(Worker& w, net::Packet& pkt, MemTrace* trace = nullptr) {
     return dp_.process(w, pkt, trace);
   }
 
   /// Datapath burst fast path: `n` packets run to completion, one verdict per
-  /// packet.  Observably identical to n process() calls but amortizes parse,
-  /// trampoline-load and stats overhead over the burst (see
+  /// packet.  Observably identical to n process() calls but amortizes the
+  /// plan load, parse and stats overhead over the burst (see
   /// CompiledDatapath::process_burst).  Owner context — single-threaded use.
   void process_burst(net::Packet* const* pkts, uint32_t n, flow::Verdict* out) {
     dp_.process_burst(pkts, n, out);
@@ -167,8 +169,7 @@ class Eswitch {
   size_t degraded_jit_tables() const { return degraded_jit_.size(); }
   /// True while fusion is enabled, a plan is published and no re-fusion
   /// retry is pending — i.e. the plan carries the machine program it wants.
-  /// Bursts walk the published plan either way; the scalar process() stays
-  /// the per-hop trampoline reference.
+  /// Every packet walks the published plan either way.
   bool fused_active() const {
     return cfg_.enable_fusion && dp_.fused() != nullptr && !fusion_retry_.has_value();
   }
@@ -187,7 +188,7 @@ class Eswitch {
 
   void compile_all();
   void rebuild_logical(uint8_t id, bool fresh_table = false);
-  void refresh_start_and_plan();
+  void refresh_parser_plan();
   void maybe_widen_plan(const flow::FlowEntry& e);
   void apply_one(const flow::FlowMod& fm, DirtySet* dirty = nullptr);
   bool try_incremental(uint8_t table, const flow::FlowMod& fm);

@@ -379,11 +379,21 @@ uint32_t Conntrack::free_slots() {
 }
 
 bool Conntrack::alloc_slot(uint32_t* slot) {
-  std::lock_guard<std::mutex> g(free_lock_);
-  if (free_.empty()) return false;
-  *slot = free_.back();
-  free_.pop_back();
-  return true;
+  for (int attempt = 0;; ++attempt) {
+    {
+      std::lock_guard<std::mutex> g(free_lock_);
+      if (!free_.empty()) {
+        *slot = free_.back();
+        free_.pop_back();
+        return true;
+      }
+    }
+    if (attempt > 0) return false;
+    // Retired slots come back only here, when the freelist runs dry, never
+    // on poll()'s schedule: so the slot a commit gets depends on the commits
+    // before it, not on how the packets were chunked into bursts.
+    flush_reclaim();
+  }
 }
 
 Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
@@ -637,7 +647,6 @@ void Conntrack::poll(uint64_t now) {
   std::vector<WheelItem> due;
   {
     std::lock_guard<std::mutex> g(s.lock);
-    reclaim_locked(s);
     const uint64_t slot_ms = uint64_t{1} << kWheelShift;
     uint32_t advanced = 0;
     while (s.wheel_cursor_ms + slot_ms <= now && advanced < kWheelSlots &&

@@ -11,7 +11,9 @@
 // unlinked entry is stamped with the current epoch, parked on its home
 // shard's retire list, and its slab slot returns to the freelist only once
 // every registered worker has ticked past the stamp — so a concurrent
-// lookup can keep reading a just-removed entry's fields safely.  Slot reuse
+// lookup can keep reading a just-removed entry's fields safely.  Retirees
+// are taken back when a commit finds the freelist empty, so slot reuse
+// follows the commit sequence, not the poll schedule.  Slot reuse
 // bumps a generation counter, which lets expiry-wheel items and eviction
 // candidates (slot, gen) pairs detect staleness without pinning memory.
 //
@@ -153,8 +155,8 @@ class Conntrack {
             uint8_t* pkt, proto::ParseInfo& pi, uint64_t now_ms);
 
   /// Amortized maintenance: drains a bounded slice of one shard's timeout
-  /// wheel (round-robin) and reclaims that shard's grace-expired retirees.
-  /// The datapath calls this once per burst chunk at a quiescent point.
+  /// wheel (round-robin).  The datapath calls this once per chunk (every
+  /// process() call is a chunk of one) at a quiescent point.
   void poll(uint64_t now_ms);
 
   /// Wall clock for the packet path; manual mode reads the test-driven value.
@@ -173,8 +175,9 @@ class Conntrack {
   /// Direct lookup for tests/examples (lock-free, no stamping).
   Entry* find(const FiveTuple& t, uint8_t* dir_out = nullptr);
 
-  /// Drains every shard's wheel and retire list as far as the epoch horizon
-  /// allows (control side; used by teardown-order tests).
+  /// Returns every shard's grace-expired retirees to the freelist.  A commit
+  /// calls it when the freelist is empty; teardown-order tests and the soak
+  /// call it to drain.  Safe from any thread.
   void flush_reclaim();
 
  private:

@@ -1,9 +1,11 @@
-// Burst/scalar parity: process_burst() must be observably identical to n
-// process() calls — same verdicts, same packet mutations, same per-table and
-// global stats — for every template the compiler can pick (direct code, hash,
-// LPM, range, linked list), for decomposed pipelines, and for the OVS-model
-// baseline (whose cache hierarchy evolves packet by packet, so parity also
-// pins the in-order processing of a burst).
+// Burst parity: process_burst() in irregular bursts and process() (a burst
+// of one) must both match the declarative pipeline (flow::Pipeline, the
+// interpreter) packet for packet — same verdicts, same packet mutations — and
+// agree with each other on per-table and global stats, for every template
+// the compiler can pick (direct code, hash, LPM, range, linked list) and for
+// decomposed pipelines.  The OVS-model baseline keeps its own scalar path,
+// whose cache hierarchy evolves packet by packet, so its parity also pins the
+// in-order processing of a burst.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -38,7 +40,21 @@ struct RunResult {
   std::vector<uint64_t> digests;
 };
 
-RunResult run_scalar(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+/// The independent reference: the declarative pipeline, one packet at a time.
+RunResult run_reference(const Pipeline& pl, const net::TrafficSet& ts, size_t n) {
+  RunResult r;
+  net::Packet pkt;
+  for (size_t i = 0; i < n; ++i) {
+    ts.load(i, pkt);
+    r.verdicts.push_back(pl.run(pkt));
+    r.digests.push_back(packet_digest(pkt));
+  }
+  return r;
+}
+
+/// The same sequence through the switch, one process() (a burst of one) per
+/// packet.
+RunResult run_singles(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
   RunResult r;
   net::Packet pkt;
   for (size_t i = 0; i < n; ++i) {
@@ -91,23 +107,54 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Full parity check: same pipeline into two switches, scalar vs burst over
-/// the same packet sequence.
+void expect_runs_equal(const RunResult& got, const RunResult& ref) {
+  ASSERT_EQ(got.verdicts.size(), ref.verdicts.size());
+  for (size_t i = 0; i < ref.verdicts.size(); ++i) {
+    ASSERT_EQ(got.verdicts[i], ref.verdicts[i]) << "packet " << i;
+    ASSERT_EQ(got.digests[i], ref.digests[i]) << "packet " << i;
+  }
+}
+
+/// The switch's verdict-level counters against the reference's verdicts.
+void expect_counts_match(const Eswitch& sw, const RunResult& ref) {
+  core::CompiledDatapath::Stats want;
+  want.packets = ref.verdicts.size();
+  for (const Verdict& v : ref.verdicts) {
+    switch (v.kind) {
+      case Verdict::Kind::kOutput:
+      case Verdict::Kind::kFlood:
+        ++want.outputs;
+        break;
+      case Verdict::Kind::kController:
+        ++want.to_controller;
+        break;
+      case Verdict::Kind::kDrop:
+        ++want.drops;
+        break;
+    }
+  }
+  const auto got = sw.datapath().stats();
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.outputs, want.outputs);
+  EXPECT_EQ(got.drops, want.drops);
+  EXPECT_EQ(got.to_controller, want.to_controller);
+}
+
+/// Full parity check: same pipeline into two switches, one driven by
+/// process() and one by irregular bursts; both must match the interpreter,
+/// and their per-slot and global stats must agree.
 void expect_parity(const Pipeline& pl, const std::vector<net::FlowSpec>& flows,
                    const core::CompilerConfig& cfg = {}, size_t n_packets = 3000) {
-  Eswitch scalar_sw(cfg), burst_sw(cfg);
-  scalar_sw.install(pl);
+  Eswitch singles_sw(cfg), burst_sw(cfg);
+  singles_sw.install(pl);
   burst_sw.install(pl);
   const auto ts = net::TrafficSet::from_flows(flows);
 
-  const RunResult s = run_scalar(scalar_sw, ts, n_packets);
-  const RunResult b = run_burst(burst_sw, ts, n_packets);
-  ASSERT_EQ(s.verdicts.size(), b.verdicts.size());
-  for (size_t i = 0; i < s.verdicts.size(); ++i) {
-    ASSERT_EQ(s.verdicts[i], b.verdicts[i]) << "packet " << i;
-    ASSERT_EQ(s.digests[i], b.digests[i]) << "packet " << i;
-  }
-  expect_stats_equal(scalar_sw, burst_sw);
+  const RunResult ref = run_reference(pl, ts, n_packets);
+  expect_runs_equal(run_singles(singles_sw, ts, n_packets), ref);
+  expect_runs_equal(run_burst(burst_sw, ts, n_packets), ref);
+  expect_counts_match(singles_sw, ref);
+  expect_stats_equal(singles_sw, burst_sw);
 }
 
 /// Random mix of traffic for hand-built tables: UDP/TCP with clustered and
@@ -268,8 +315,9 @@ TEST(BurstParity, PrefetchHintIsPureForEveryTemplate) {
   for (const Case& c : cases) {
     Eswitch sw(c.cfg);
     sw.install(c.pl);
-    ASSERT_EQ(sw.table_template(c.pl.tables().front().id()), c.expect);
-    const core::CompiledTable* impl = sw.datapath().impl(sw.datapath().start());
+    const uint8_t first = c.pl.tables().front().id();
+    ASSERT_EQ(sw.table_template(first), c.expect);
+    const core::CompiledTable* impl = sw.datapath().impl(sw.root_slot(first));
     ASSERT_NE(impl, nullptr);
     for (const net::FlowSpec& f : random_traffic(64, 0x9E)) {
       const net::Packet p = test::make_packet(f.pkt, f.in_port);
@@ -287,7 +335,7 @@ TEST(BurstParity, GatewayMultiTablePipeline) {
 }
 
 TEST(BurstParity, EmptyDatapathAndZeroBurst) {
-  Eswitch sw;  // nothing installed: start slot < 0, every packet drops
+  Eswitch sw;  // nothing installed: no plan published, every packet drops
   auto flows = random_traffic(64, 0xE0);
   const auto ts = net::TrafficSet::from_flows(flows);
   net::Packet pkt;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -703,9 +706,10 @@ TEST(CtStats, ChunkTalliedLookupsMatchPerPacketCounts) {
 
 // The same frames through one switch per packet (process()) and through
 // another in ragged bursts (process_burst()): verdicts, egress bytes (NAT
-// rewrites) and connection counters must agree.
-void expect_burst_matches_scalar(const uc::CtUseCase& c,
-                                 const std::vector<net::Packet>& trace) {
+// rewrites) and connection counters must agree.  Returns the per-packet
+// switch's counters.
+Conntrack::Stats expect_burst_matches_scalar(const uc::CtUseCase& c,
+                                             const std::vector<net::Packet>& trace) {
   Eswitch scalar(cfg_for(c));
   Eswitch burst(cfg_for(c));
   scalar.install(c.pipeline);
@@ -725,18 +729,24 @@ void expect_burst_matches_scalar(const uc::CtUseCase& c,
     burst.process_burst(ptrs.data() + done, static_cast<uint32_t>(len), bv.data() + done);
   }
 
-  for (size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(bv[i], sv[i]) << "packet " << i;
-    ASSERT_EQ(bp[i].len(), sp[i].len()) << "packet " << i;
-    ASSERT_EQ(std::memcmp(bp[i].data(), sp[i].data(), sp[i].len()), 0)
-        << "egress bytes diverge at packet " << i;
-  }
   const Conntrack::Stats a = scalar.conntrack()->stats();
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(bv[i], sv[i]) << "packet " << i;
+    EXPECT_EQ(bp[i].len(), sp[i].len()) << "packet " << i;
+    EXPECT_EQ(std::memcmp(bp[i].data(), sp[i].data(), sp[i].len()), 0)
+        << "egress bytes diverge at packet " << i;
+    if (::testing::Test::HasFailure()) return a;
+  }
   const Conntrack::Stats b = burst.conntrack()->stats();
   EXPECT_EQ(b.lookups, a.lookups);
   EXPECT_EQ(b.hits, a.hits);
+  EXPECT_EQ(b.misses, a.misses);
   EXPECT_EQ(b.commits, a.commits);
+  EXPECT_EQ(b.commit_drops, a.commit_drops);
+  EXPECT_EQ(b.evictions_forced, a.evictions_forced);
+  EXPECT_EQ(b.expired, a.expired);
   EXPECT_EQ(b.live, a.live);
+  return a;
 }
 
 uc::CtUseCase manual(uc::CtUseCase c) {
@@ -766,35 +776,122 @@ TEST(CtBurst, SynAndSynAckInOneBurstMatchScalar) {
   expect_burst_matches_scalar(c, trace);
 }
 
-// A seeded stream over a small connection pool (both directions, every TCP
-// flag step, UDP) through the firewall, SNAT and load-balancer programs.
-TEST(CtBurst, SeededStreamProcessBurstMatchesScalar) {
-  const uint64_t seed = testing::test_seed(0xC7B1, "CtBurst.SeededProcessBurst");
+// A seeded 1200-packet stream over a pool of 40 connections (both
+// directions, every TCP flag step, UDP) between inside clients and
+// `server`:`port`.
+std::vector<net::Packet> seeded_ct_stream(uint64_t seed, uint32_t server = kServer,
+                                          uint16_t port = 443) {
   constexpr uint8_t kFlags[] = {
       proto::kTcpFlagSyn, proto::kTcpFlagSyn | proto::kTcpFlagAck, proto::kTcpFlagAck,
       proto::kTcpFlagFin | proto::kTcpFlagAck, proto::kTcpFlagRst};
-  for (const uc::CtUseCase& c :
-       {manual(uc::make_ct_firewall()), manual(uc::make_ct_nat(uc::kCtNatDefaultIp)),
-        manual(uc::make_ct_lb(4))}) {
-    Rng rng(seed);
-    std::vector<net::Packet> trace;
-    for (size_t i = 0; i < 1200; ++i) {
-      const uint32_t conn = static_cast<uint32_t>(rng.below(40));
-      const bool reply = rng.below(3) == 0;
-      const uint32_t a = kClient + conn, b = kServer;
-      const uint16_t pa = static_cast<uint16_t>(40000 + conn), pb = 443;
-      proto::PacketSpec spec;
-      if (rng.below(4) == 0) {
-        spec = reply ? test::udp_spec(b, a, pb, pa) : test::udp_spec(a, b, pa, pb);
-      } else {
-        const uint8_t flags = kFlags[rng.below(sizeof kFlags)];
-        spec = reply ? tcp_with_flags(b, a, pb, pa, flags)
-                     : tcp_with_flags(a, b, pa, pb, flags);
-      }
-      trace.push_back(make_packet(spec, reply ? uc::kCtOutsidePort : uc::kCtInsidePort));
+  Rng rng(seed);
+  std::vector<net::Packet> trace;
+  for (size_t i = 0; i < 1200; ++i) {
+    const uint32_t conn = static_cast<uint32_t>(rng.below(40));
+    const bool reply = rng.below(3) == 0;
+    const uint32_t a = kClient + conn, b = server;
+    const uint16_t pa = static_cast<uint16_t>(40000 + conn), pb = port;
+    proto::PacketSpec spec;
+    if (rng.below(4) == 0) {
+      spec = reply ? test::udp_spec(b, a, pb, pa) : test::udp_spec(a, b, pa, pb);
+    } else {
+      const uint8_t flags = kFlags[rng.below(sizeof kFlags)];
+      spec = reply ? tcp_with_flags(b, a, pb, pa, flags)
+                   : tcp_with_flags(a, b, pa, pb, flags);
     }
-    expect_burst_matches_scalar(c, trace);
+    trace.push_back(make_packet(spec, reply ? uc::kCtOutsidePort : uc::kCtInsidePort));
   }
+  return trace;
+}
+
+// The seeded stream through the firewall, SNAT and load-balancer programs
+// (the load balancer's stream targets its VIP).
+TEST(CtBurst, SeededStreamProcessBurstMatchesScalar) {
+  const uint64_t seed = testing::test_seed(0xC7B1, "CtBurst.SeededProcessBurst");
+  const std::vector<net::Packet> trace = seeded_ct_stream(seed);
+  const std::vector<net::Packet> vip_trace =
+      seeded_ct_stream(seed, uc::kCtLbVip, uc::kCtLbVipPort);
+  expect_burst_matches_scalar(manual(uc::make_ct_firewall()), trace);
+  expect_burst_matches_scalar(manual(uc::make_ct_nat(uc::kCtNatDefaultIp)), trace);
+  expect_burst_matches_scalar(manual(uc::make_ct_lb(4)), vip_trace);
+}
+
+// The same stream into tables of 4 and 16 entries, far below the 40
+// connections it opens: commits force-evict live entries all the way
+// through, and the evicted slots only return once a poll reclaims them.
+TEST(CtBurst, SeededStreamAtCapacityMatchesScalar) {
+  const uint64_t seed = testing::test_seed(0xC7B2, "CtBurst.SeededAtCapacity");
+  const std::vector<net::Packet> trace = seeded_ct_stream(seed);
+  const std::vector<net::Packet> vip_trace =
+      seeded_ct_stream(seed, uc::kCtLbVip, uc::kCtLbVipPort);
+  for (const uint32_t cap : {4u, 16u}) {
+    const std::pair<uc::CtUseCase, const std::vector<net::Packet>*> cases[] = {
+        {manual(uc::make_ct_firewall(cap)), &trace},
+        {manual(uc::make_ct_nat(uc::kCtNatDefaultIp, cap)), &trace},
+        {manual(uc::make_ct_lb(4, cap)), &vip_trace}};
+    for (size_t k = 0; k < std::size(cases); ++k) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + ", program " + std::to_string(k));
+      const Conntrack::Stats s = expect_burst_matches_scalar(cases[k].first, *cases[k].second);
+      EXPECT_GT(s.evictions_forced, 0u);
+      EXPECT_GT(s.commit_drops, 0u);
+    }
+  }
+}
+
+// A switch driven by process() alone keeps its connection table healthy: each
+// packet is a burst of one, so it runs the conntrack poll too.  Force-evicted
+// slots return to the freelist, and idle connections expire.
+TEST(CtBurst, ProcessAloneReclaimsAndExpires) {
+  const uc::CtUseCase c = manual(uc::make_ct_firewall(/*capacity=*/4));
+  Eswitch sw(cfg_for(c));
+  sw.install(c.pipeline);
+  Conntrack& ct = *sw.conntrack();
+  ct.set_now_ms(1'000);
+  const auto syn = [](uint32_t k) {
+    return make_packet(tcp_with_flags(kClient + k, kServer, 40000, 443, proto::kTcpFlagSyn),
+                       uc::kCtInsidePort);
+  };
+  // Untracked frames: they commit nothing, but each one's chunk polls.
+  const auto idle = [&sw](int n) {
+    proto::PacketSpec arp;
+    arp.kind = proto::PacketKind::kArp;
+    for (int i = 0; i < n; ++i) {
+      net::Packet p = make_packet(arp, uc::kCtOutsidePort);
+      sw.process(p);
+    }
+  };
+
+  for (uint32_t k = 0; k < 4; ++k) {
+    net::Packet p = syn(k);
+    ASSERT_EQ(sw.process(p), Verdict::output(uc::kCtOutsidePort));
+  }
+  ASSERT_EQ(ct.stats().live, 4u);
+
+  // At capacity: the fifth commit force-evicts a victim and is dropped.
+  net::Packet p5 = syn(4);
+  sw.process(p5);
+  Conntrack::Stats s = ct.stats();
+  ASSERT_EQ(s.evictions_forced, 1u);
+  ASSERT_EQ(s.commit_drops, 1u);
+  ASSERT_EQ(s.live, 3u);
+
+  // Polls reclaim the victim's slot, so the next commit lands without an
+  // eviction.
+  idle(64);
+  net::Packet p6 = syn(5);
+  sw.process(p6);
+  s = ct.stats();
+  EXPECT_EQ(s.evictions_forced, 1u);
+  EXPECT_EQ(s.commit_drops, 1u);
+  EXPECT_EQ(s.live, 4u);
+
+  // Past the SYN timeout every connection expires.
+  ct.set_now_ms(1'000 + c.ct.tcp_syn_timeout_ms + 5'000);
+  idle(256);
+  s = ct.stats();
+  EXPECT_EQ(s.expired, 4u);
+  EXPECT_EQ(s.live, 0u);
+  EXPECT_EQ(s.commits, s.live + s.expired + s.evictions_forced);
 }
 
 // At capacity a rule-driven commit force-evicts a live entry, which may be

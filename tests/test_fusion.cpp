@@ -1,14 +1,15 @@
-// The burst walk's plan (core::fuse_pipeline) and whole-pipeline JIT fusion
+// The packet walk's plan (core::fuse_pipeline) and whole-pipeline JIT fusion
 // (jit/fusion.hpp): every non-empty pipeline publishes a plan, and the plan
-// walk — with or without the fused machine program — must be observably
-// identical to the scalar per-hop reference process(): same verdicts, same
-// packet mutations, same per-table and global stats — for every template
-// shape, goto chains, decomposed DAGs, both miss policies, and under churn.
+// walk — with or without the fused machine program, in irregular bursts or
+// one packet at a time — must match the declarative pipeline (flow::Pipeline)
+// packet for packet, and bursts must keep the same per-table and global
+// stats as bursts of one — for every template shape, goto chains, decomposed
+// DAGs, both miss policies, and under churn.
 // The degradation story is covered too: an exec-map refusal during the fused
 // compile publishes the plan without machine code, is accounted in the
 // fusion ledger, and heals through the bounded-backoff retry; pathological
-// goto graphs (cycles hand-wired below the control-plane validator)
-// terminate in a bounded drop instead of hanging the walk.
+// goto graphs (cycles hand-wired below the control-plane validator) end in
+// the plan walk's guard drop instead of hanging it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -114,13 +115,25 @@ RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
   return r;
 }
 
-/// The same sequence through the scalar reference, one process() per packet.
-RunResult run_scalar(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+/// The same sequence one process() (a burst of one) per packet.
+RunResult run_singles(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
   RunResult r;
   net::Packet p;
   for (size_t i = 0; i < n; ++i) {
     ts.load(i, p);
     r.verdicts.push_back(sw.process(p));
+    r.digests.push_back(packet_digest(p));
+  }
+  return r;
+}
+
+/// The independent reference: the declarative pipeline, one packet at a time.
+RunResult run_reference(const Pipeline& pl, const net::TrafficSet& ts, size_t n) {
+  RunResult r;
+  net::Packet p;
+  for (size_t i = 0; i < n; ++i) {
+    ts.load(i, p);
+    r.verdicts.push_back(pl.run(p));
     r.digests.push_back(packet_digest(p));
   }
   return r;
@@ -151,31 +164,33 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Same pipeline into a fused switch, a fusion-disabled switch (plan walk
-/// without machine code) and a scalar reference switch, same packet
-/// sequence: verdicts, frame mutations, verdict-level and per-slot stats must
-/// agree packet for packet.
+/// Same pipeline into a fused switch and a fusion-disabled switch (plan walk
+/// without machine code), both in irregular bursts, and a fused switch driven
+/// by process(), same packet sequence: all three must match the interpreter's
+/// verdicts and frame mutations packet for packet, and the bursts'
+/// verdict-level and per-slot stats must equal those of the bursts of one.
 void expect_fused_parity(const Pipeline& pl,
                          const std::vector<net::FlowSpec>& flows,
                          CompilerConfig cfg = {}, size_t n_packets = 3000) {
   CompilerConfig fused_cfg = cfg, plain_cfg = cfg;
   fused_cfg.enable_fusion = true;
   plain_cfg.enable_fusion = false;
-  Eswitch fused_sw(fused_cfg), plain_sw(plain_cfg), scalar_sw(fused_cfg);
+  Eswitch fused_sw(fused_cfg), plain_sw(plain_cfg), singles_sw(fused_cfg);
   fused_sw.install(pl);
   plain_sw.install(pl);
-  scalar_sw.install(pl);
+  singles_sw.install(pl);
   ASSERT_TRUE(fused_sw.fused_active()) << "plan was not published";
   ASSERT_FALSE(plain_sw.fused_active());
   ASSERT_NE(plain_sw.datapath().fused(), nullptr) << "fusion off must still plan";
   EXPECT_EQ(plain_sw.datapath().fused()->program, nullptr);
   const auto ts = net::TrafficSet::from_flows(flows);
 
-  const RunResult ref = run_scalar(scalar_sw, ts, n_packets);
+  const RunResult ref = run_reference(pl, ts, n_packets);
+  expect_runs_equal(run_singles(singles_sw, ts, n_packets), ref);
   expect_runs_equal(run_bursts(fused_sw, ts, n_packets), ref);
   expect_runs_equal(run_bursts(plain_sw, ts, n_packets), ref);
-  expect_stats_equal(fused_sw, scalar_sw);
-  expect_stats_equal(plain_sw, scalar_sw);
+  expect_stats_equal(fused_sw, singles_sw);
+  expect_stats_equal(plain_sw, singles_sw);
 }
 
 /// Every goto a plan stage can take must land on a later stage.  Only
@@ -341,8 +356,9 @@ TEST(Fusion, DecomposedDagPlansInTopologicalOrder) {
     if (jit && jit::ExecBuffer::supported()) {
       EXPECT_NE(fp->program, nullptr);
     }
-    // Verdicts, frames and every sub-slot's table_stats against the scalar
-    // walk (expect_stats_equal covers every slot the switches allocated).
+    // Verdicts and frames against the interpreter, and every sub-slot's
+    // table_stats against bursts of one (expect_stats_equal covers every
+    // slot the switches allocated).
     expect_fused_parity(pl, flows, cfg, 2000);
   }
 }
@@ -606,45 +622,39 @@ TEST(Fusion, InPlaceGrowthRefreshesPrefetchFlag) {
   sw.datapath().reclaim();
 }
 
-// --- pathological goto graphs (shared loop-bound policy) --------------------
+// --- pathological goto graphs ------------------------------------------------
 
 TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   // Two interpreter tables hand-wired into a cycle via raw internal_next slot
   // ids — below the control-plane validator (which enforces forward gotos).
-  // The scalar walk must terminate in a kMaxHops drop, with the stats
-  // windows flushed mid-walk (the hoisted lap guard), not hang.
+  // With no plan published, process() and bursts drop without walking; with
+  // a hand-built plan carrying the backward edge, the plan walk's
+  // monotone-stage guard drops at the first backward transition.
   CompiledDatapath dp;
   const core::GotoMap gmap(256, -1);
   core::BuildCtx ctx{dp.actions(), gmap};
-  const int32_t s0 = dp.add_slot(flow::FlowTable::MissPolicy::kDrop);
-  const int32_t s1 = dp.add_slot(flow::FlowTable::MissPolicy::kDrop);
+  const int32_t s0 = dp.add_slot();
+  const int32_t s1 = dp.add_slot();
   core::BuildEntry e;  // match-all, no actions
   e.priority = 1;
   e.internal_next = s1;
   dp.set_impl(s0, core::DirectCodeTable::build({e}, ctx, false));
   e.internal_next = s0;
   dp.set_impl(s1, core::DirectCodeTable::build({e}, ctx, false));
-  dp.set_start(s0);
 
+  // No plan published: a burst of one and a burst both drop unwalked.
   net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
-  EXPECT_EQ(dp.process(p), Verdict::drop());  // scalar walk
-  EXPECT_EQ(dp.stats().packets, 1u);
-  EXPECT_EQ(dp.stats().drops, 1u);
-  // Every hop was counted before the guard dropped the packet.
-  const auto ts0 = dp.table_stats(s0);
-  const auto ts1 = dp.table_stats(s1);
-  EXPECT_EQ(ts0.lookups + ts1.lookups,
-            static_cast<uint64_t>(CompiledDatapath::kMaxHops));
-
-  // No plan published: the burst drops without walking.
+  EXPECT_EQ(dp.process(p), Verdict::drop());
   net::Packet* pp = &p;
   Verdict v = Verdict::output(9);
   dp.process_burst(&pp, 1, &v);
   EXPECT_EQ(v, Verdict::drop());
+  EXPECT_EQ(dp.stats().packets, 2u);
   EXPECT_EQ(dp.stats().drops, 2u);
+  EXPECT_EQ(dp.table_stats(s0).lookups + dp.table_stats(s1).lookups, 0u);
 
-  // A hand-built fused plan with the same backward edge: the fused walk's
-  // monotone-stage guard must drop at the first backward transition.
+  // A hand-built plan with the same backward edge: every walk drops at the
+  // first backward transition, after one hit per stage.
   auto fp = std::make_unique<FusedPipeline>();
   fp->stage_of_slot.assign(static_cast<size_t>(dp.num_slots()), -1);
   fp->stages.push_back({s0, dp.impl(s0), flow::FlowTable::MissPolicy::kDrop,
@@ -657,7 +667,12 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   v = Verdict::output(9);
   dp.process_burst(&pp, 1, &v);
   EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().drops, 3u);
+  EXPECT_EQ(dp.process(p), Verdict::drop());
+  EXPECT_EQ(dp.stats().drops, 4u);
+  for (const int32_t slot : {s0, s1}) {
+    EXPECT_EQ(dp.table_stats(slot).lookups, 2u) << "slot " << slot;
+    EXPECT_EQ(dp.table_stats(slot).hits, 2u) << "slot " << slot;
+  }
 }
 
 // --- concurrent churn: epoch-safe republish ---------------------------------

@@ -159,6 +159,8 @@ class RetireList {
   }
 
   size_t pending() const { return q_.size(); }
+  /// Stamp of the oldest pending entry; UINT64_MAX when none is pending.
+  uint64_t oldest_epoch() const { return q_.empty() ? UINT64_MAX : q_.front().epoch; }
   uint64_t retired_total() const { return retired_total_; }
   uint64_t reclaimed_total() const { return reclaimed_total_; }
 

@@ -292,7 +292,9 @@ class CompiledDatapath {
   };
 
   /// The packet walk over one chunk of n <= kCap packets; kCap sizes the
-  /// walk's scratch, so a burst of one does not pay for 32 packets' state.
+  /// walk's scratch, so a burst of one does not pay for 32 packets' state
+  /// (with 32-packet scratch a Fig. 9 process() call costs about twice as
+  /// much, docs/BENCHMARKS.md).
   /// kTraced records the chunk's memory accesses into `mt` (process() with a
   /// trace); the untraced walk carries no trace checks.
   template <uint32_t kCap, bool kTraced>

@@ -710,9 +710,10 @@ void check_ct_point(const BenchReport& r, const BenchSeries& s,
 
 /// Fusion ("fusion") point-shape contract: every point is tagged with a
 /// boolean `fused` counter (1 = the backend's published plan carried its
-/// fused machine program for the measurement, 0 = per-hop walk or
-/// interpreter) and carries throughput — the plan-vs-per-hop speedup gate in
-/// CI divides two points and must be able to trust which leg is which.
+/// fused machine program for the measurement, 0 = bursts of one through the
+/// plan walk, or the interpreter) and carries throughput — the
+/// plan-walk-vs-per-hop speedup gate in CI divides two points and must be
+/// able to trust which leg is which.
 void check_fusion_point(const BenchReport& r, const BenchSeries& s,
                         const BenchPoint& p, std::vector<std::string>* errors) {
   const auto it = p.counters.find("fused");

@@ -74,6 +74,9 @@ Conntrack::Conntrack(const CtConfig& cfg, common::EpochDomain* domain)
   for (uint32_t i = 0; i < buckets; ++i)
     buckets_[i].store(nullptr, std::memory_order_relaxed);
   shards_ = std::make_unique<Shard[]>(n_shards_);
+  oldest_retired_ = std::make_unique<std::atomic<uint64_t>[]>(n_shards_);
+  for (uint32_t s = 0; s < n_shards_; ++s)
+    oldest_retired_[s].store(UINT64_MAX, std::memory_order_relaxed);
 
   const uint64_t now = now_ms();
   for (uint32_t s = 0; s < n_shards_; ++s) shards_[s].wheel_cursor_ms = now;
@@ -409,7 +412,8 @@ Conntrack::Entry* Conntrack::commit(const FiveTuple& t, uint8_t flags,
     // Capacity: force-evict an accounted victim.  Its slot only returns to
     // the freelist after the epoch grace period (a concurrent lookup may
     // still be reading it), so this commit is dropped — accounted, never a
-    // crash.  Reclaim in poll() refills the freelist.
+    // crash.  A later commit's alloc_slot() takes the slot back once the
+    // grace period has passed.
     evict_one(now);
     c_.commit_drops.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -593,6 +597,8 @@ bool Conntrack::remove_entry(uint32_t slot, uint32_t gen, bool expire_check,
     e.dead.store(true, std::memory_order_release);
     const uint64_t stamp = domain_->current_epoch();
     shards_[s0].retired.retire(slot, stamp);
+    oldest_retired_[s0].store(shards_[s0].retired.oldest_epoch(),
+                              std::memory_order_relaxed);
     domain_->advance();
     c_.live.fetch_sub(1, std::memory_order_relaxed);
     return true;
@@ -625,19 +631,18 @@ void Conntrack::wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen,
   s.wheel[(due >> kWheelShift) % kWheelSlots].push_back({slot, gen, due_ms});
 }
 
-void Conntrack::reclaim_locked(Shard& s) {
-  const uint64_t horizon = domain_->min_observed();
-  std::vector<uint32_t> freed;
+void Conntrack::reclaim_locked(uint32_t si, uint64_t horizon) {
+  Shard& s = shards_[si];
+  // Lock order: shard, then freelist (nothing takes a shard lock under
+  // free_lock_).  free_ holds capacity_ reserved, so no push allocates.
+  std::lock_guard<std::mutex> g(free_lock_);
   s.retired.reclaim_into(horizon, [&](uint32_t slot) {
     // Bump the generation before the slot becomes allocatable: stale wheel
     // items and eviction candidates detect the reuse.
     slab_[slot].gen.fetch_add(1, std::memory_order_release);
-    freed.push_back(slot);
+    free_.push_back(slot);
   });
-  if (!freed.empty()) {
-    std::lock_guard<std::mutex> g(free_lock_);
-    free_.insert(free_.end(), freed.begin(), freed.end());
-  }
+  oldest_retired_[si].store(s.retired.oldest_epoch(), std::memory_order_relaxed);
 }
 
 void Conntrack::poll(uint64_t now) {
@@ -688,9 +693,20 @@ Conntrack::Entry* Conntrack::find(const FiveTuple& t, uint8_t* dir_out) {
 }
 
 void Conntrack::flush_reclaim() {
+  // A full table under a SYN flood calls this on every failed commit, so the
+  // common outcomes are cheap: nothing retired costs one scan of the packed
+  // stamps, and a shard whose oldest retiree is not past the horizon is
+  // skipped without taking its lock.
+  uint64_t oldest = UINT64_MAX;
+  for (uint32_t i = 0; i < n_shards_; ++i)
+    oldest = std::min(oldest, oldest_retired_[i].load(std::memory_order_relaxed));
+  if (oldest == UINT64_MAX) return;
+  const uint64_t horizon = domain_->min_observed();
+  if (oldest >= horizon) return;
   for (uint32_t i = 0; i < n_shards_; ++i) {
+    if (oldest_retired_[i].load(std::memory_order_relaxed) >= horizon) continue;
     std::lock_guard<std::mutex> g(shards_[i].lock);
-    reclaim_locked(shards_[i]);
+    reclaim_locked(i, horizon);
   }
 }
 

@@ -228,7 +228,7 @@ class Conntrack {
   void wheel_insert_locked(Shard& s, uint32_t slot, uint32_t gen, uint64_t due_ms,
                            uint64_t now_ms);
   bool evict_one(uint64_t now_ms);
-  void reclaim_locked(Shard& s);
+  void reclaim_locked(uint32_t shard, uint64_t horizon);
 
   CtConfig cfg_;
   common::EpochDomain* domain_;
@@ -240,6 +240,10 @@ class Conntrack {
   std::unique_ptr<Entry[]> slab_;
   std::unique_ptr<std::atomic<HashLink*>[]> buckets_;
   std::unique_ptr<Shard[]> shards_;
+  // Per shard, its retired.oldest_epoch(), written under the shard's lock.
+  // flush_reclaim() scans these unlocked (packed, so a few lines for all
+  // shards) to skip shards with nothing past the grace horizon.
+  std::unique_ptr<std::atomic<uint64_t>[]> oldest_retired_;
 
   std::mutex free_lock_;
   std::vector<uint32_t> free_;

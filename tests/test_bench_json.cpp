@@ -350,9 +350,10 @@ TEST(ValidateReport, RejectsFig19ChurnPointWithoutLatency) {
 }
 
 TEST(ValidateReport, RejectsMalformedFusionPoint) {
-  // The fusion figure's CI gate divides a fused point's pps by a per-hop
-  // walk point's; a point without the boolean `fused` tag (or without throughput)
-  // makes the ratio meaningless, so --check must refuse the report.
+  // The fusion figure's CI gate divides a fused point's pps by a
+  // bursts-of-one point's; a point without the boolean `fused` tag (or
+  // without throughput) makes the ratio meaningless, so --check must refuse
+  // the report.
   BenchReport r = sample_report();
   r.figure = "fusion";
   r.series[0].points[0].counters["fused"] = 1;

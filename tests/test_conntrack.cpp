@@ -818,7 +818,8 @@ TEST(CtBurst, SeededStreamProcessBurstMatchesScalar) {
 
 // The same stream into tables of 4 and 16 entries, far below the 40
 // connections it opens: commits force-evict live entries all the way
-// through, and the evicted slots only return once a poll reclaims them.
+// through, and an evicted slot returns when a later commit finds the
+// freelist empty (alloc_slot reclaims).
 TEST(CtBurst, SeededStreamAtCapacityMatchesScalar) {
   const uint64_t seed = testing::test_seed(0xC7B2, "CtBurst.SeededAtCapacity");
   const std::vector<net::Packet> trace = seeded_ct_stream(seed);
@@ -839,8 +840,8 @@ TEST(CtBurst, SeededStreamAtCapacityMatchesScalar) {
 }
 
 // A switch driven by process() alone keeps its connection table healthy: each
-// packet is a burst of one, so it runs the conntrack poll too.  Force-evicted
-// slots return to the freelist, and idle connections expire.
+// packet is a burst of one, so it runs the conntrack poll too and idle
+// connections expire.  Force-evicted slots return to the freelist.
 TEST(CtBurst, ProcessAloneReclaimsAndExpires) {
   const uc::CtUseCase c = manual(uc::make_ct_firewall(/*capacity=*/4));
   Eswitch sw(cfg_for(c));
@@ -851,7 +852,8 @@ TEST(CtBurst, ProcessAloneReclaimsAndExpires) {
     return make_packet(tcp_with_flags(kClient + k, kServer, 40000, 443, proto::kTcpFlagSyn),
                        uc::kCtInsidePort);
   };
-  // Untracked frames: they commit nothing, but each one's chunk polls.
+  // Untracked frames: they commit nothing, but each one's chunk polls the
+  // timeout wheel.
   const auto idle = [&sw](int n) {
     proto::PacketSpec arp;
     arp.kind = proto::PacketKind::kArp;
@@ -875,9 +877,9 @@ TEST(CtBurst, ProcessAloneReclaimsAndExpires) {
   ASSERT_EQ(s.commit_drops, 1u);
   ASSERT_EQ(s.live, 3u);
 
-  // Polls reclaim the victim's slot, so the next commit lands without an
-  // eviction.
-  idle(64);
+  // The next commit finds the freelist empty and takes the victim's slot
+  // back (no worker is registered, so its grace period is over): it lands
+  // without an eviction.
   net::Packet p6 = syn(5);
   sw.process(p6);
   s = ct.stats();
